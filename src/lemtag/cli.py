@@ -8,6 +8,7 @@ can preset any of the shared options; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -17,9 +18,10 @@ from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
 from .decode import DecodeConfig, predict_corpus
 from .metrics import EvalAlignmentError, evaluate
 from .model import CheckpointError, ModelConfig, init_model, load_model
-from .snippets import (SnippetConfig, build_vocab, examples_for_corpus,
-                       format_example)
-from .training import TrainConfig, TrainingDivergedError, train
+from .snippets import (MODES, TC_MODES, SnippetConfig, build_vocab,
+                       examples_for_corpus, format_example)
+from .training import (SELECTION_METRICS, TrainConfig, TrainingDivergedError,
+                       train)
 
 
 class UsageError(Exception):
@@ -48,24 +50,43 @@ def _parse_optional_int(raw):
     return None if raw.strip().lower() == "none" else int(raw)
 
 
-_DEFAULTS = {
-    "mode": "context_window", "window": 1, "tc": "both", "min_freq": 1,
-    "embedding_size": 700, "hidden_units": 500, "layers": 2, "dropout": 0.3,
-    "steps": 50000, "checkpoint_every": 1000, "lr": 1.0,
-    "lr_halve_start": 25000, "lr_halve_every": 10000, "batch_size": 32,
-    "clip_norm": 5.0, "selection_metric": "analysis_accuracy", "seed": 0,
-    "beam": 5, "max_length": None, "vote": False, "retain_all": False,
+# option -> (config class or function, field or parameter); each option's
+# default and type come from that field
+_OPTIONS = {
+    "mode": (SnippetConfig, "mode"),
+    "window": (SnippetConfig, "window"),
+    "tc": (SnippetConfig, "tc_mode"),
+    "min_freq": (build_vocab, "min_freq"),
+    "embedding_size": (ModelConfig, "embedding_size"),
+    "hidden_units": (ModelConfig, "hidden_units"),
+    "layers": (ModelConfig, "layers"),
+    "dropout": (ModelConfig, "dropout_p"),
+    "steps": (TrainConfig, "total_steps"),
+    "checkpoint_every": (TrainConfig, "checkpoint_every"),
+    "lr": (TrainConfig, "lr_initial"),
+    "lr_halve_start": (TrainConfig, "lr_halve_start_step"),
+    "lr_halve_every": (TrainConfig, "lr_halve_every"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "clip_norm": (TrainConfig, "clip_norm"),
+    "selection_metric": (TrainConfig, "selection_metric"),
+    "seed": (TrainConfig, "rng_seed"),
+    "retain_all": (TrainConfig, "retain_all"),
+    "beam": (DecodeConfig, "beam_size"),
+    "max_length": (DecodeConfig, "max_length"),
+    "vote": (predict_corpus, "voting"),
 }
 
-_CASTS = {
-    "mode": str, "window": int, "tc": str, "min_freq": int,
-    "embedding_size": int, "hidden_units": int, "layers": int,
-    "dropout": float, "steps": int, "checkpoint_every": int, "lr": float,
-    "lr_halve_start": int, "lr_halve_every": int, "batch_size": int,
-    "clip_norm": _parse_optional_float, "selection_metric": str, "seed": int,
-    "beam": int, "max_length": _parse_optional_int, "vote": _parse_bool,
-    "retain_all": _parse_bool,
-}
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "int | None": _parse_optional_int, "float | None": _parse_optional_float}
+
+_CHOICES = {"mode": MODES, "tc": TC_MODES, "selection_metric": SELECTION_METRICS}
+
+_FIELDS = {key: inspect.signature(owner).parameters[name]
+           for key, (owner, name) in _OPTIONS.items()}
+
+
+def _cast(key):
+    return _PARSERS[_FIELDS[key].annotation]
 
 
 def _read_config_file(path):
@@ -80,10 +101,10 @@ def _read_config_file(path):
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                if key not in _CASTS:
+                if key not in _OPTIONS:
                     raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
                 try:
-                    values[key] = _CASTS[key](raw.strip())
+                    values[key] = _cast(key)(raw.strip())
                 except ValueError as err:
                     raise UsageError(f"{path}:{lineno}: {err}") from None
     except OSError as err:
@@ -93,10 +114,10 @@ def _read_config_file(path):
 
 def _settings(args):
     """Builtin defaults, overridden by the config file, overridden by flags."""
-    values = dict(_DEFAULTS)
+    values = {key: field.default for key, field in _FIELDS.items()}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -110,8 +131,10 @@ def _checked(ctor, **kwargs):
         raise UsageError(str(err)) from None
 
 
-def _snippet_config(s) -> SnippetConfig:
-    return _checked(SnippetConfig, mode=s["mode"], window=s["window"], tc_mode=s["tc"])
+def _config(cls, s, **extra):
+    """``cls`` built from the settings of the options mapped to its fields."""
+    fields = {name: s[key] for key, (owner, name) in _OPTIONS.items() if owner is cls}
+    return _checked(cls, **fields, **extra)
 
 
 def _write_text(path, text):
@@ -137,7 +160,7 @@ def run_stats(args):
 
 def run_snippetize(args):
     s = _settings(args)
-    snip_cfg = _snippet_config(s)
+    snip_cfg = _config(SnippetConfig, s)
     mode = "surface_only" if args.surface_only else "gold"
     corpus = read_corpus_file(args.corpus, mode=mode)
     lines = [format_example(e) for e in examples_for_corpus(corpus, snip_cfg)]
@@ -151,15 +174,8 @@ def run_snippetize(args):
 
 def run_train(args):
     s = _settings(args)
-    snip_cfg = _snippet_config(s)
-    train_cfg = _checked(
-        TrainConfig,
-        total_steps=s["steps"], checkpoint_every=s["checkpoint_every"],
-        lr_initial=s["lr"], lr_halve_start_step=s["lr_halve_start"],
-        lr_halve_every=s["lr_halve_every"], batch_size=s["batch_size"],
-        clip_norm=s["clip_norm"], selection_metric=s["selection_metric"],
-        rng_seed=s["seed"], checkpoint_dir=args.checkpoint_dir,
-        retain_all=s["retain_all"])
+    snip_cfg = _config(SnippetConfig, s)
+    train_cfg = _config(TrainConfig, s, checkpoint_dir=args.checkpoint_dir)
     if s["min_freq"] < 1:
         raise UsageError("min_freq must be >= 1")
 
@@ -167,11 +183,9 @@ def run_train(args):
     dev_corpus = read_corpus_file(args.dev_corpus, mode="gold")
     examples = examples_for_corpus(train_corpus, snip_cfg)
     vocab = build_vocab(examples, min_freq=s["min_freq"])
-    model_cfg = _checked(
-        ModelConfig,
-        source_vocab_size=vocab.source_size, target_vocab_size=vocab.target_size,
-        embedding_size=s["embedding_size"], hidden_units=s["hidden_units"],
-        layers=s["layers"], dropout_p=s["dropout"], rng_seed=s["seed"])
+    model_cfg = _config(
+        ModelConfig, s, source_vocab_size=vocab.source_size,
+        target_vocab_size=vocab.target_size, rng_seed=s["seed"])
     model = init_model(model_cfg)
     best_model, report = train(model, examples, dev_corpus, vocab, snip_cfg, train_cfg)
 
@@ -194,11 +208,11 @@ def run_train(args):
 
 def run_predict(args):
     s = _settings(args)
-    snip_cfg = _snippet_config(s)
+    snip_cfg = _config(SnippetConfig, s)
     voting = bool(s["vote"])
     if voting and snip_cfg.mode != "context_window":
         raise UsageError("--vote requires --mode context_window")
-    decode_cfg = _checked(DecodeConfig, beam_size=s["beam"], max_length=s["max_length"])
+    decode_cfg = _config(DecodeConfig, s)
     model, vocab = load_model(args.checkpoint)
     corpus = read_corpus_file(args.corpus, mode="surface_only")
     predicted, flags = predict_corpus(model, corpus, vocab, snip_cfg, decode_cfg, voting)
@@ -242,14 +256,23 @@ def run_evaluate(args):
 # parser
 
 
+def _add_options(parser, *keys):
+    """Flags for the given options.  They default to None, so that the
+    config file and the built-in defaults fill in what is not passed."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if _FIELDS[key].annotation == "bool":
+            parser.add_argument(flag, dest=key, action="store_true", default=None)
+        else:
+            parser.add_argument(flag, dest=key, type=_cast(key), choices=_CHOICES.get(key))
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
     shared.add_argument("--config", help="key=value option file; flags override it")
 
     snippet_opts = _Parser(add_help=False)
-    snippet_opts.add_argument("--mode", choices=("full_sequence", "context_window"))
-    snippet_opts.add_argument("--window", type=int, metavar="W")
-    snippet_opts.add_argument("--tc", choices=("none", "lemmata", "tags", "both", "surface"))
+    _add_options(snippet_opts, "mode", "window", "tc")
 
     parser = _Parser(prog="lemtag",
                      description="Joint lemmatization and morphological tagging.")
@@ -272,22 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train_corpus")
     p.add_argument("dev_corpus")
     p.add_argument("--checkpoint-dir", required=True)
-    p.add_argument("--min-freq", type=int, dest="min_freq")
-    p.add_argument("--embedding-size", type=int, dest="embedding_size")
-    p.add_argument("--hidden-units", type=int, dest="hidden_units")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-halve-start", type=int, dest="lr_halve_start")
-    p.add_argument("--lr-halve-every", type=int, dest="lr_halve_every")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--clip-norm", type=_parse_optional_float, dest="clip_norm")
-    p.add_argument("--selection-metric", dest="selection_metric",
-                   choices=("analysis_accuracy", "lemma_accuracy", "tag_accuracy"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--retain-all", action="store_true", default=None, dest="retain_all")
+    _add_options(p, "min_freq", "embedding_size", "hidden_units", "layers", "dropout",
+                 "steps", "checkpoint_every", "lr", "lr_halve_start", "lr_halve_every",
+                 "batch_size", "clip_norm", "selection_metric", "seed", "retain_all")
     p.set_defaults(func=run_train)
 
     p = sub.add_parser("predict", parents=[shared, snippet_opts],
@@ -297,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--flags-out", dest="flags_out",
                    help="per-token diagnostic flags, one line per sentence")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--max-length", type=int, dest="max_length")
-    p.add_argument("--vote", action="store_true", default=None)
+    _add_options(p, "beam", "max_length", "vote")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("evaluate", parents=[shared], help="score predictions")

@@ -159,7 +159,7 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
 
     lineno = 0
     for lineno, line in enumerate(_iter_lines(text), start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\n").removesuffix("\r")
         if line == "":
             finish_block(lineno)
             continue
@@ -205,11 +205,14 @@ def write_corpus(corpus: Corpus) -> str:
 
 
 def read_corpus_file(path, mode: str = "gold") -> Corpus:
-    """Read and parse a corpus file, reporting the line of any UTF-8 error."""
+    """Read and parse a corpus file, reporting the line of any UTF-8 error.
+
+    A leading byte-order mark is skipped, and CRLF line ends are accepted.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         line = raw[: err.start].count(b"\n") + 1
         raise CorpusFormatError("input is not valid UTF-8", line) from None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
-from .model import (Model, decode_step, encode_source, forward_loss,
-                    init_decoder_state, make_batch)
+from .model import (Model, _log_softmax, decode_step, encode_source,
+                    forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
                        GRAMMEME_PREFIX, SnippetConfig, Vocab,
                        build_full_sequence_example, build_window_examples,
@@ -56,11 +56,6 @@ def _encode_single(model, source_ids):
     batch = make_batch([(list(source_ids), None)])
     states, finals = encode_source(model, batch)
     return states[0], batch.src_mask[0], finals
-
-
-def _log_probs(logits):
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
 def greedy_ids(model: Model, source_ids, cfg: DecodeConfig):
@@ -116,7 +111,7 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
             for l in range(layers)
         ]
         logits, new_state = decode_step(model, prev, state, enc, mask)
-        logp = _log_probs(logits)
+        logp = _log_softmax(logits)
         logp[:, PAD_ID] = -np.inf
         logp[:, START_ID] = -np.inf
         expanded = []
@@ -251,11 +246,11 @@ def align_full_sequence(units: list[Analysis], sentence: Sentence):
 def build_ballots(sentence_length: int, window: int, decoded_units):
     """Collect per-token candidate lists from every covering snippet.
 
-    ``decoded_units`` holds, per snippet (one per focal token), the parsed
-    unit list.  Token i is covered by snippet j when |i - j| <= window; the
+    ``decoded_units`` holds, per snippet (one per focal token), its list of
+    decoded units.  Token i is covered by snippet j when |i - j| <= window; the
     unit ordinal inside snippet j is i - max(0, j - window).  A snippet too
     short to supply the unit contributes None at that slot.  Each ballot
-    entry is (analysis-or-None, focal distance, snippet index).
+    entry is (unit-or-None, focal distance, snippet index).
     """
     ballots = []
     for i in range(sentence_length):
@@ -290,10 +285,7 @@ def majority_vote(ballot):
 
 def _decode_example(model, vocab, example, cfg):
     source_ids, _ = encode(example, vocab)
-    if cfg.beam_size == 1:
-        ids, finished = greedy_ids(model, source_ids, cfg)
-    else:
-        ids, finished = beam_ids(model, source_ids, cfg)
+    ids, finished = beam_ids(model, source_ids, cfg)
     symbols = [vocab.target_symbol(i) for i in ids]
     units, malformed = parse_analysis_units(symbols)
     return units, malformed, finished
@@ -327,37 +319,25 @@ def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
         return analyses, _render_flags(flags)
 
     examples = build_window_examples(sentence, snippet_cfg)
-    decoded = []
-    for example in examples:
-        decoded.append(_decode_example(model, vocab, example, decode_cfg))
-
+    decoded = [_decode_example(model, vocab, e, decode_cfg) for e in examples]
+    ballots = build_ballots(length, snippet_cfg.window,
+                            [list(zip(units, malformed)) for units, malformed, _ in decoded])
     analyses: list[Analysis] = []
-    if voting:
-        ballots = build_ballots(length, snippet_cfg.window,
-                                [units for units, _, _ in decoded])
-        for i, ballot in enumerate(ballots):
-            filled = []
-            for got, dist, j in ballot:
-                if got is None:
-                    flags[i].add(FLAG_SHORT)
-                    got = Analysis(sentence.tokens[i].surface, EMPTY_TAG)
-                filled.append((got, dist, j))
-                if not decoded[j][2]:
-                    flags[i].add(FLAG_TRUNCATED)
-            analyses.append(majority_vote(filled))
-    else:
-        for i in range(length):
-            units, malformed, finished = decoded[i]
-            ordinal = i - max(0, i - snippet_cfg.window)
-            if not finished:
-                flags[i].add(FLAG_TRUNCATED)
-            if ordinal < len(units):
-                analyses.append(units[ordinal])
-                if malformed[ordinal]:
-                    flags[i].add(FLAG_MALFORMED)
-            else:
-                analyses.append(Analysis(sentence.tokens[i].surface, EMPTY_TAG))
+    for i, ballot in enumerate(ballots):
+        if not voting:
+            ballot = [entry for entry in ballot if entry[1] == 0]  # the focal window
+        filled = []
+        for unit, dist, j in ballot:
+            if unit is None:
                 flags[i].add(FLAG_SHORT)
+                unit = (Analysis(sentence.tokens[i].surface, EMPTY_TAG), False)
+            got, bad = unit
+            if bad:
+                flags[i].add(FLAG_MALFORMED)
+            if not decoded[j][2]:
+                flags[i].add(FLAG_TRUNCATED)
+            filled.append((got, dist, j))
+        analyses.append(majority_vote(filled))
     return analyses, _render_flags(flags)
 
 

@@ -344,16 +344,6 @@ def _decoder_forward(model, tgt_in, init, train, rng):
     return inputs, layer_caches
 
 
-def _attention_forward(model, dec_out, enc_states, src_mask):
-    p = model.params
-    proj = dec_out @ p["attn_W"]
-    scores = np.einsum("btk,bsk->bts", proj, enc_states)
-    scores = np.where(src_mask[:, None, :] > 0, scores, -np.inf)
-    weights = _softmax(scores)
-    context = np.einsum("bts,bsk->btk", weights, enc_states)
-    return context, weights, proj
-
-
 def _forward(model, batch, train, rng):
     """Full teacher-forced pass; returns loss and a cache for backward."""
     if batch.tgt is None or batch.loss_mask is None:
@@ -362,7 +352,6 @@ def _forward(model, batch, train, rng):
     if n_tokens == 0:
         raise ValueError("empty loss mask")
     cfg = model.config
-    p = model.params
     if train and cfg.dropout_p > 0 and rng is None:
         raise ValueError("dropout is active; a random generator is required")
 
@@ -370,17 +359,10 @@ def _forward(model, batch, train, rng):
     init = _bridge_forward(model, finals)
     tgt_in = batch.tgt[:, :-1]
     dec_out, dec_caches = _decoder_forward(model, tgt_in, init, train, rng)
-    context, weights, proj = _attention_forward(model, dec_out, enc_states, batch.src_mask)
-
-    combined = np.concatenate([context, dec_out], axis=2)
-    tilde = np.tanh(combined @ p["combo_W"])
     out_drop = None
     if train and cfg.dropout_p > 0:
-        out_drop = _dropout_mask(rng, tilde.shape, cfg.dropout_p)
-        tilde_d = tilde * out_drop
-    else:
-        tilde_d = tilde
-    logits = tilde_d @ p["out_W"] + p["out_b"]
+        out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
+    logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
     gold = batch.tgt[:, 1:]
     log_probs = _log_softmax(logits)
@@ -390,9 +372,7 @@ def _forward(model, batch, train, rng):
     cache = dict(
         enc_states=enc_states, finals=finals, enc_caches=enc_caches, init=init,
         tgt_in=tgt_in, dec_out=dec_out, dec_caches=dec_caches,
-        context=context, weights=weights, proj=proj,
-        combined=combined, tilde=tilde, out_drop=out_drop, tilde_d=tilde_d,
-        logits=logits, gold=gold, n_tokens=n_tokens,
+        logits=logits, gold=gold, n_tokens=n_tokens, **att,
     )
     return loss, cache
 
@@ -403,40 +383,34 @@ def forward_loss(model, batch, train_mode=False, rng=None) -> float:
     return loss
 
 
-def encode_source(model, batch, train_mode=False, rng=None):
+def encode_source(model, batch):
     """Per-position encoder states (B, S, 2*hidden) plus per-layer final states."""
-    if train_mode and model.config.dropout_p > 0 and rng is None:
-        raise ValueError("dropout is active; a random generator is required")
-    states, finals, _ = _encoder_forward(model, batch.src, batch.src_mask, train_mode, rng)
+    states, finals, _ = _encoder_forward(model, batch.src, batch.src_mask, False, None)
     return states, finals
 
 
-def attend(model, decoder_state, encoder_states, source_mask=None):
-    """Bilinear attention: masked softmax scores and the weighted context.
+def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
+    """Bilinear attention, tanh combination and output projection.
 
-    Accepts a single state (H,) with states (S, 2H), or batches (B, H) with
-    (B, S, 2H).  Returns (context, weights).
+    Takes decoder states (B, T, H), encoder states (B, S, 2H) and the
+    source mask (B, S) or (1, S); ``out_drop`` is an optional dropout mask on the
+    combined states.  Returns logits (B, T, V) and a dict of the
+    intermediate values (weights (B, T, S), context (B, T, 2H), ...).
     """
-    single = decoder_state.ndim == 1
-    dec = decoder_state[None, :] if single else decoder_state
-    shared = encoder_states.ndim == 2
-    enc = encoder_states[None, :, :] if shared else encoder_states
-    if shared and dec.shape[0] > 1:
-        enc = np.broadcast_to(enc, (dec.shape[0],) + enc.shape[1:])
-    if source_mask is None:
-        mask = np.ones(enc.shape[:2])
-    else:
-        mask = source_mask[None, :] if source_mask.ndim == 1 else source_mask
-        mask = np.broadcast_to(mask, enc.shape[:2])
-    if not (mask > 0).any(axis=1).all():
+    p = model.params
+    if not (source_mask > 0).any(axis=1).all():
         raise ValueError("attention over fully masked source")
-    scores = np.einsum("bk,bsk->bs", dec @ model.params["attn_W"], enc)
-    scores = np.where(mask > 0, scores, -np.inf)
+    proj = decoder_states @ p["attn_W"]
+    scores = np.einsum("btk,bsk->bts", proj, encoder_states)
+    scores = np.where(source_mask[:, None, :] > 0, scores, -np.inf)
     weights = _softmax(scores)
-    context = np.einsum("bs,bsk->bk", weights, enc)
-    if single:
-        return context[0], weights[0]
-    return context, weights
+    context = np.einsum("bts,bsk->btk", weights, encoder_states)
+    combined = np.concatenate([context, decoder_states], axis=2)
+    tilde = np.tanh(combined @ p["combo_W"])
+    tilde_d = tilde if out_drop is None else tilde * out_drop
+    logits = tilde_d @ p["out_W"] + p["out_b"]
+    return logits, dict(proj=proj, weights=weights, context=context, combined=combined,
+                        tilde=tilde, out_drop=out_drop, tilde_d=tilde_d)
 
 
 def init_decoder_state(model, finals):
@@ -444,31 +418,25 @@ def init_decoder_state(model, finals):
     return [(h0, c0) for h0, c0, _, _ in _bridge_forward(model, finals)]
 
 
-def decode_step(model, prev_ids, state, encoder_states, source_mask=None,
-                train_mode=False, rng=None):
-    """One inference step: embed previous ids, advance the LSTM stack,
-    attend, combine, project.  Returns (logits (B, V), new state)."""
-    cfg = model.config
+def decode_step(model, prev_ids, state, encoder_states, source_mask):
+    """One inference step: embed previous ids, advance the LSTM stack and
+    attend.  A source shared by all rows, (S, 2H) with mask (S,), is
+    broadcast over them.  Returns (logits (B, V), new state)."""
     p = model.params
     prev_ids = np.asarray(prev_ids, dtype=np.int64)
-    _check_ids(prev_ids, cfg.target_vocab_size, "target")
-    if train_mode and cfg.dropout_p > 0 and rng is None:
-        raise ValueError("dropout is active; a random generator is required")
+    _check_ids(prev_ids, model.config.target_vocab_size, "target")
     x = p["tgt_embed"][prev_ids]
     new_state = []
     for layer, (h, c) in enumerate(state):
-        if layer > 0 and train_mode and cfg.dropout_p > 0:
-            x = x * _dropout_mask(rng, x.shape, cfg.dropout_p)
         h_new, c_new, _ = _lstm_step(
             p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], p[f"dec{layer}_b"], x, h, c)
         new_state.append((h_new, c_new))
         x = h_new
-    context, _ = attend(model, x, encoder_states, source_mask)
-    tilde = np.tanh(np.concatenate([context, x], axis=1) @ p["combo_W"])
-    if train_mode and cfg.dropout_p > 0:
-        tilde = tilde * _dropout_mask(rng, tilde.shape, cfg.dropout_p)
-    logits = tilde @ p["out_W"] + p["out_b"]
-    return logits, new_state
+    if encoder_states.ndim == 2:
+        encoder_states = np.broadcast_to(encoder_states, (len(x),) + encoder_states.shape)
+        source_mask = source_mask[None, :]
+    logits, _ = attend(model, x[:, None, :], encoder_states, source_mask)
+    return logits[:, 0, :], new_state
 
 
 # ---------------------------------------------------------------------------

@@ -217,3 +217,26 @@ def test_unicode_surfaces_round_trip():
     text = "κόσμος\tκόσμος\tN;SG\nvögel\tvogel\tN;PL\n"
     corpus = parse_corpus(text)
     assert write_corpus(corpus) == text + "\n"
+
+
+def test_read_corpus_file_accepts_crlf_and_bom(tmp_path):
+    two_sentences = "# s1\n" + SAMPLE + "\nowls\towl\tN;PL\n"
+    bad = SAMPLE + "\nowls owl N;PL\n"
+
+    def both_copies(text, name):
+        lf, crlf = tmp_path / f"{name}_lf.tsv", tmp_path / f"{name}_crlf.tsv"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        return lf, crlf
+
+    for text, name in ((two_sentences, "two"), (SAMPLE, "one")):
+        lf, crlf = both_copies(text, name)
+        for mode in ("gold", "surface_only"):
+            assert read_corpus_file(crlf, mode) == read_corpus_file(lf, mode)
+    lf, crlf = both_copies(bad, "bad")
+    lines = []
+    for path in (lf, crlf):
+        with pytest.raises(CorpusFormatError) as err:
+            read_corpus_file(path)
+        lines.append(err.value.line)
+    assert lines == [5, 5]

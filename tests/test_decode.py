@@ -310,11 +310,12 @@ def test_predict_sentence_flags_malformed_units(monkeypatch):
         return list(crafted), True
 
     monkeypatch.setattr(decode_mod, "greedy_ids", fake)
-    analyses, flags = predict_sentence(model, sent, vocab, snip,
-                                       DecodeConfig(beam_size=1))
-    assert len(analyses) == len(sent)
-    assert all("malformed" in f for f in flags)
-    assert all(a == analysis("", gs[1:]) for a in analyses)
+    for voting in (False, True):
+        analyses, flags = predict_sentence(model, sent, vocab, snip,
+                                           DecodeConfig(beam_size=1), voting=voting)
+        assert len(analyses) == len(sent)
+        assert all("malformed" in f for f in flags)
+        assert all(a == analysis("", gs[1:]) for a in analyses)
 
 
 def test_predict_sentence_short_snippets_fall_back(monkeypatch):

@@ -114,39 +114,41 @@ def test_attend_is_a_distribution():
     cfg = tiny_config()
     m = init_model(cfg)
     rng = np.random.default_rng(0)
-    enc = rng.normal(size=(7, 2 * cfg.hidden_units))
-    state = rng.normal(size=cfg.hidden_units)
-    mask = np.array([1, 1, 1, 1, 0, 0, 0], dtype=float)
-    context, weights = attend(m, state, enc, mask)
-    assert abs(weights.sum() - 1.0) < 1e-6
-    assert np.all(weights[4:] == 0)
-    assert context.shape == (2 * cfg.hidden_units,)
+    enc = rng.normal(size=(2, 7, 2 * cfg.hidden_units))
+    states = rng.normal(size=(2, 3, cfg.hidden_units))
+    mask = np.array([[1, 1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0]], dtype=float)
+    logits, parts = attend(m, states, enc, mask)
+    weights = parts["weights"]
+    assert np.all(np.abs(weights.sum(axis=2) - 1.0) < 1e-6)
+    assert np.all(weights[0, :, 4:] == 0) and np.all(weights[1, :, 2:] == 0)
+    assert parts["context"].shape == (2, 3, 2 * cfg.hidden_units)
+    assert logits.shape == (2, 3, cfg.target_vocab_size)
 
 
 def test_attend_single_unmasked_position():
     cfg = tiny_config()
     m = init_model(cfg)
-    enc = np.random.default_rng(1).normal(size=(4, 2 * cfg.hidden_units))
-    mask = np.array([0, 0, 1, 0], dtype=float)
-    context, weights = attend(m, np.zeros(cfg.hidden_units), enc, mask)
-    assert weights[2] == 1.0
-    assert np.allclose(context, enc[2])
+    enc = np.random.default_rng(1).normal(size=(1, 4, 2 * cfg.hidden_units))
+    mask = np.array([[0, 0, 1, 0]], dtype=float)
+    _, parts = attend(m, np.zeros((1, 1, cfg.hidden_units)), enc, mask)
+    assert parts["weights"][0, 0, 2] == 1.0
+    assert np.allclose(parts["context"][0, 0], enc[0, 2])
 
 
 def test_attend_uniform_scores():
     cfg = tiny_config()
     m = init_model(cfg)
-    enc = np.zeros((5, 2 * cfg.hidden_units))
-    _, weights = attend(m, np.ones(cfg.hidden_units), enc, np.ones(5))
-    assert np.allclose(weights, 0.2)
+    enc = np.zeros((1, 5, 2 * cfg.hidden_units))
+    _, parts = attend(m, np.ones((1, 1, cfg.hidden_units)), enc, np.ones((1, 5)))
+    assert np.allclose(parts["weights"], 0.2)
 
 
 def test_attend_all_masked_raises():
     cfg = tiny_config()
     m = init_model(cfg)
-    enc = np.zeros((3, 2 * cfg.hidden_units))
+    enc = np.zeros((1, 3, 2 * cfg.hidden_units))
     with pytest.raises(ValueError):
-        attend(m, np.zeros(cfg.hidden_units), enc, np.zeros(3))
+        attend(m, np.zeros((1, 1, cfg.hidden_units)), enc, np.zeros((1, 3)))
 
 
 def test_decode_step_normalized_and_pure():
