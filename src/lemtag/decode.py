@@ -52,30 +52,73 @@ def _check_vocab(model: Model, vocab: Vocab):
         raise ValueError("model and vocabulary sizes disagree")
 
 
-def _encode_single(model, source_ids):
+def _search(model: Model, source_ids, cfg: DecodeConfig, beam_size: int):
+    """Beam search with the greedy rollout decoded alongside as a candidate.
+
+    The source is encoded once; each step decodes the alive hypotheses and
+    the greedy one as rows of one ``decode_step`` call (``beam_size`` 0
+    leaves the greedy row alone).  The alive list is kept sorted by ids, so
+    one stable argsort over the flat (rows x V) scores breaks ties toward
+    the lexicographically smallest ids.  Returns (ids, finished flag).
+    """
     batch = make_batch([(list(source_ids), None)])
-    states, finals = encode_source(model, batch)
-    return states[0], batch.src_mask[0], finals
+    enc, finals = encode_source(model, batch)
+    state = init_decoder_state(model, finals)
+    alive = [((), 0.0, 0)] if beam_size else []  # (ids, score, state row)
+    finished, best = [], -np.inf  # (score, ids) of ended hypotheses; best score
+    greedy, greedy_score, greedy_row, greedy_live = [], 0.0, 0, True
+    for _ in range(cfg.length_limit(len(source_ids))):
+        if alive or greedy_row:  # a lone greedy row needs no gather
+            rows = [row for _, _, row in alive] + [greedy_row] * greedy_live
+            state = [(h[rows], c[rows]) for h, c in state]
+        prev = [ids[-1] if ids else START_ID for ids, _, _ in alive]
+        prev += [greedy[-1] if greedy else START_ID] * greedy_live
+        logits, state = decode_step(model, np.array(prev), state,
+                                    enc[0], batch.src_mask[0])
+        if beam_size:
+            logp = _log_softmax(logits)
+            logp[:, PAD_ID] = logp[:, START_ID] = -np.inf
+        if greedy_live:
+            row = logits[-1]
+            row[PAD_ID] = row[START_ID] = -np.inf
+            nxt = int(np.argmax(row))
+            if beam_size:
+                greedy_score += logp[-1, nxt]
+            greedy_live = nxt != END_ID
+            greedy += [nxt] * greedy_live
+            greedy_row = len(alive)  # greedy is the last row
+        if alive:
+            totals = (np.array([score for _, score, _ in alive])[:, None]
+                      + logp[:len(alive)]).ravel()
+            expanded = []
+            for k in np.argsort(-totals, kind="stable"):
+                if len(expanded) == beam_size or not np.isfinite(totals[k]):
+                    break
+                bi, sym = divmod(int(k), logp.shape[1])
+                if sym == END_ID:
+                    finished.append((totals[k], alive[bi][0]))
+                    best = max(best, totals[k])
+                else:
+                    expanded.append((alive[bi][0] + (sym,), totals[k], bi))
+            alive = sorted(expanded)
+            if alive and best >= max(score for _, score, _ in alive):
+                alive = []  # scores only decrease as hypotheses grow
+        if greedy_live and best > greedy_score:
+            greedy_live, greedy_score = False, -np.inf  # it can no longer win
+        if not alive and not greedy_live:
+            break
+
+    candidates = finished + [(greedy_score, tuple(greedy))] * (not greedy_live)
+    if candidates:
+        return list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
+    if alive:
+        return list(min(alive, key=lambda a: (-a[1], a[0]))[0]), False
+    return greedy, False
 
 
 def greedy_ids(model: Model, source_ids, cfg: DecodeConfig):
     """Argmax rollout. Returns (ids without start/end, finished flag)."""
-    enc, mask, finals = _encode_single(model, source_ids)
-    state = init_decoder_state(model, finals)
-    limit = cfg.length_limit(len(source_ids))
-    prev = START_ID
-    out = []
-    for _ in range(limit):
-        logits, state = decode_step(model, np.array([prev]), state, enc, mask)
-        row = logits[0].copy()
-        row[PAD_ID] = -np.inf
-        row[START_ID] = -np.inf
-        nxt = int(np.argmax(row))
-        if nxt == END_ID:
-            return out, True
-        out.append(nxt)
-        prev = nxt
-    return out, False
+    return _search(model, source_ids, cfg, 0)
 
 
 def score_sequence(model: Model, source_ids, target_ids) -> float:
@@ -91,66 +134,13 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
 
     Finished hypotheses retire at the end symbol; the best finished one is
     returned with score ties broken toward the lexicographically smallest
-    id sequence.  The greedy rollout is kept as a candidate so the result
-    never scores below it.  Returns (ids, finished flag).
+    id sequence.  The greedy rollout is decoded alongside as a candidate,
+    scored by its summed log-probabilities, so the result never scores
+    below it.  Returns (ids, finished flag).
     """
     if cfg.beam_size == 1:
         return greedy_ids(model, source_ids, cfg)
-    enc, mask, finals = _encode_single(model, source_ids)
-    init = init_decoder_state(model, finals)
-    limit = cfg.length_limit(len(source_ids))
-    layers = model.config.layers
-
-    alive = [(0.0, (), init)]  # (score, ids, state)
-    finished: list[tuple[float, tuple]] = []
-    for _ in range(limit):
-        prev = np.array([ids[-1] if ids else START_ID for _, ids, _ in alive])
-        state = [
-            (np.concatenate([st[l][0] for _, _, st in alive], axis=0),
-             np.concatenate([st[l][1] for _, _, st in alive], axis=0))
-            for l in range(layers)
-        ]
-        logits, new_state = decode_step(model, prev, state, enc, mask)
-        logp = _log_softmax(logits)
-        logp[:, PAD_ID] = -np.inf
-        logp[:, START_ID] = -np.inf
-        expanded = []
-        for bi, (score, ids, _) in enumerate(alive):
-            for sym in range(logp.shape[1]):
-                total = score + logp[bi, sym]
-                if np.isfinite(total):
-                    expanded.append((-total, ids + (sym,), bi))
-        expanded.sort(key=lambda e: (e[0], e[1]))
-        next_alive = []
-        for neg, ids, bi in expanded:
-            if ids[-1] == END_ID:
-                finished.append((-neg, ids[:-1]))
-            else:
-                row_state = [
-                    (new_state[l][0][bi:bi + 1], new_state[l][1][bi:bi + 1])
-                    for l in range(layers)
-                ]
-                next_alive.append((-neg, ids, row_state))
-            if len(next_alive) == cfg.beam_size:
-                break
-        alive = next_alive
-        if not alive:
-            break
-        if finished and max(f[0] for f in finished) >= alive[0][0]:
-            break  # scores only decrease as hypotheses grow
-
-    candidates = [(score, ids, True) for score, ids in finished]
-    greedy_out, greedy_done = greedy_ids(model, source_ids, cfg)
-    if greedy_done:
-        candidates.append((score_sequence(model, source_ids, greedy_out),
-                           tuple(greedy_out), True))
-    if not candidates:
-        if alive:
-            best = min(alive, key=lambda a: (-a[0], a[1]))
-            return list(best[1]), False
-        return greedy_out, greedy_done
-    best = min(candidates, key=lambda c: (-c[0], c[1]))
-    return list(best[1]), best[2]
+    return _search(model, source_ids, cfg, cfg.beam_size)
 
 
 def greedy_decode(model: Model, source_ids, vocab: Vocab,

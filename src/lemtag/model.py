@@ -280,8 +280,9 @@ def _dropout_mask(rng, shape, p):
 
 
 def _check_ids(ids, size, what):
-    if ids.size and int(ids.max()) >= size:
-        raise ValueError(f"{what} id {int(ids.max())} out of range (vocab size {size})")
+    bad = ids[(ids < 0) | (ids >= size)]
+    if bad.size:
+        raise ValueError(f"{what} id {int(bad[0])} out of range (vocab size {size})")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,6 @@ def _bridge_forward(model, finals):
 def _decoder_forward(model, tgt_in, init, train, rng):
     cfg = model.config
     p = model.params
-    _check_ids(tgt_in, cfg.target_vocab_size, "target")
     inputs = p["tgt_embed"][tgt_in]
     layer_caches = []
     for layer in range(cfg.layers):
@@ -355,6 +355,7 @@ def _forward(model, batch, train, rng):
     if train and cfg.dropout_p > 0 and rng is None:
         raise ValueError("dropout is active; a random generator is required")
 
+    _check_ids(batch.tgt, cfg.target_vocab_size, "target")  # inputs and gold ids
     enc_states, finals, enc_caches = _encoder_forward(model, batch.src, batch.src_mask, train, rng)
     init = _bridge_forward(model, finals)
     tgt_in = batch.tgt[:, :-1]

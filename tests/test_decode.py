@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
                            predict_corpus, predict_sentence, score_sequence)
 from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
-from lemtag.snippets import (PAD_ID, START_ID, WORD_BOUNDARY, SnippetConfig,
-                             build_vocab, examples_for_corpus)
+from lemtag.snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
+                             SnippetConfig, build_vocab, examples_for_corpus)
 
 
 def setup_model(seed=0, hidden=6, n_sentences=6):
@@ -223,6 +225,50 @@ def test_beam_never_scores_below_greedy():
             assert b >= g - 1e-9
             compared += 1
     assert compared >= 2  # warmed models end their outputs reliably
+
+
+# From the start symbol, 5 and 6 tie; then 5 -> 9 and 6 -> 4, and both end
+# next.  Every other symbol is e^50 times less likely, too little to move a
+# row's normalizer off 1 (or 2), so the tied scores are exactly equal.
+TIED_NEXT = {START_ID: (5, 6), 5: (9,), 6: (4,)}
+
+
+def tied_decode_step(model, prev_ids, state, encoder_states, source_mask):
+    logits = np.full((len(prev_ids), model.config.target_vocab_size), -50.0)
+    for row, prev in enumerate(prev_ids):
+        logits[row, list(TIED_NEXT.get(int(prev), (END_ID,)))] = 0.0
+    return logits, state
+
+
+def test_beam_score_ties_go_to_smallest_ids(monkeypatch):
+    model, vocab, corpus, snip = setup_model()
+    src, _ = decode_mod.encode(examples_for_corpus(corpus, snip)[0], vocab)
+    monkeypatch.setattr(decode_mod, "decode_step", tied_decode_step)
+    for beam_size in (2, 3, 5):
+        # ordering by (score, last symbol) would pick [6, 4]
+        assert beam_ids(model, src, DecodeConfig(beam_size=beam_size)) == ([5, 9], True)
+
+
+def test_beam_encodes_once_and_decodes_greedy_alongside(monkeypatch):
+    model, vocab, corpus, snip = setup_model()
+    src, _ = decode_mod.encode(examples_for_corpus(corpus, snip)[0], vocab)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decode_mod, "encode_source",
+                        counted("encode_source", decode_mod.encode_source))
+    monkeypatch.setattr(decode_mod, "forward_loss",
+                        counted("forward_loss", decode_mod.forward_loss))
+    monkeypatch.setattr(decode_mod, "decode_step",
+                        counted("decode_step", tied_decode_step))
+    assert beam_ids(model, src, DecodeConfig(beam_size=3)) == ([5, 9], True)
+    names = ("encode_source", "forward_loss", "decode_step")
+    assert [calls[name] for name in names] == [1, 0, 3]
 
 
 def test_score_sequence_matches_stepwise_sum():

@@ -110,6 +110,20 @@ def test_encoder_rejects_out_of_range_ids():
         encode_source(m, make_batch([([cfg.source_vocab_size], None)]))
 
 
+def test_negative_and_final_gold_ids_are_rejected():
+    cfg = tiny_config()
+    m = init_model(cfg)
+    for pair in [([5, -1, 6], [2, 5, 3]),                   # negative source id
+                 ([5, 6], [2, -2, 3]),                      # negative target id
+                 ([5, 6], [2, 5, cfg.target_vocab_size])]:  # final gold id
+        with pytest.raises(ValueError, match="id -?[0-9]+ out of range"):
+            forward_loss(m, make_batch([pair]))
+    batch = make_batch([([5, 6], None)])
+    enc, finals = encode_source(m, batch)
+    with pytest.raises(ValueError, match="target id -3 out of range"):
+        decode_step(m, [-3], init_decoder_state(m, finals), enc, batch.src_mask)
+
+
 def test_attend_is_a_distribution():
     cfg = tiny_config()
     m = init_model(cfg)
