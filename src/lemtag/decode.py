@@ -175,18 +175,15 @@ def parse_analysis_units(symbols) -> tuple[list[Analysis], list[bool]]:
     units: list[Analysis] = []
     malformed: list[bool] = []
     chunk: list[str] = []
-    pending = False
     for sym in symbols:
         if sym == WORD_BOUNDARY:
             analysis, bad = _parse_unit(chunk)
             units.append(analysis)
             malformed.append(bad)
             chunk = []
-            pending = False
         else:
             chunk.append(sym)
-            pending = True
-    if pending:
+    if chunk:
         analysis, bad = _parse_unit(chunk)
         units.append(analysis)
         malformed.append(bad)

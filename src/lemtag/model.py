@@ -8,7 +8,7 @@ vocabulary.  Everything is plain numpy with hand-written backpropagation;
 gradients are exact for the realized dropout masks and are checked against
 finite differences in the test suite.
 
-Weights are computed with in float64 but kept on the float32 grid (snapped
+Weights are computed in float64 but kept on the float32 grid (snapped
 after init and after every update) so that the float32 checkpoint format
 round-trips bit-exactly.
 """
@@ -199,64 +199,46 @@ def _lstm_step(Wx, Wh, b, x, h, c):
     return h_new, c_new, (i, f, g, o, tanh_c)
 
 
-def _lstm_forward(Wx, Wh, b, inputs, mask=None, reverse=False, h0=None, c0=None):
-    """Run one LSTM layer over (B, T, Din) inputs.
+def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
+    """Run one LSTM layer over (B, T, Din) inputs from the state (h, c).
 
-    ``mask`` freezes the state at padded positions so the final state is the
-    state at each row's last real position; ``reverse`` processes time back
-    to front.  Returns outputs (B, T, H), the final (h, c), and a cache for
-    the backward pass.
+    ``mask`` (B, T) freezes the state at padded positions so the final state
+    is the state at each row's last real position; ``reverse`` processes
+    time back to front.  Returns outputs (B, T, H), the final (h, c), and a
+    cache for the backward pass.
     """
     bsz, steps, _ = inputs.shape
-    hid = Wh.shape[0]
-    h = np.zeros((bsz, hid)) if h0 is None else h0
-    c = np.zeros((bsz, hid)) if c0 is None else c0
-    outputs = np.zeros((bsz, steps, hid))
+    outputs = np.zeros((bsz, steps, Wh.shape[0]))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     trace = []
     for t in order:
         x = inputs[:, t, :]
         h_new, c_new, (i, f, g, o, tanh_c) = _lstm_step(Wx, Wh, b, x, h, c)
-        if mask is not None:
-            m = mask[:, t][:, None]
-            h_new = m * h_new + (1.0 - m) * h
-            c_new = m * c_new + (1.0 - m) * c
-        else:
-            m = None
+        m = mask[:, t][:, None] > 0
         trace.append((t, x, h, c, i, f, g, o, tanh_c, m))
-        h, c = h_new, c_new
+        h = np.where(m, h_new, h)
+        c = np.where(m, c_new, c)
         outputs[:, t, :] = h
     return outputs, (h, c), trace
 
 
-def _lstm_backward(Wx, Wh, d_outputs, trace, din, dh_final=None, dc_final=None):
+def _lstm_backward(Wx, Wh, d_outputs, trace, dh, dc):
     """Backpropagate through one LSTM layer.
 
-    ``d_outputs`` holds gradients w.r.t. the per-position outputs;
-    ``dh_final``/``dc_final`` add gradient flowing into the final state
-    (e.g. from the encoder-decoder bridge).  Returns gradients for the
-    inputs, the three weight tensors, and the initial state.
+    ``d_outputs`` holds gradients w.r.t. the per-position outputs; ``dh``
+    and ``dc`` (arrays, or 0.0 for none) hold the gradient flowing into the
+    final state (e.g. from the encoder-decoder bridge).  Returns gradients
+    for the inputs, the three weight tensors, and the initial state.
     """
     bsz, steps, hid = d_outputs.shape
     dWx = np.zeros_like(Wx)
     dWh = np.zeros_like(Wh)
     db = np.zeros(4 * hid)
-    d_inputs = np.zeros((bsz, steps, din))
-    dh = np.zeros((bsz, hid)) if dh_final is None else dh_final.copy()
-    dc = np.zeros((bsz, hid)) if dc_final is None else dc_final.copy()
+    d_inputs = np.zeros((bsz, steps, Wx.shape[0]))
     for (t, x, h_prev, c_prev, i, f, g, o, tanh_c, m) in reversed(trace):
         dh_t = dh + d_outputs[:, t, :]
-        dc_t = dc
-        if m is not None:
-            dh_in = dh_t * m
-            dc_in = dc_t * m
-            dh_skip = dh_t * (1.0 - m)
-            dc_skip = dc_t * (1.0 - m)
-        else:
-            dh_in = dh_t
-            dc_in = dc_t
-            dh_skip = 0.0
-            dc_skip = 0.0
+        dh_in = np.where(m, dh_t, 0.0)
+        dc_in = np.where(m, dc, 0.0)
         do = dh_in * tanh_c
         dc_full = dc_in + dh_in * o * (1.0 - tanh_c ** 2)
         di = dc_full * g
@@ -270,8 +252,9 @@ def _lstm_backward(Wx, Wh, d_outputs, trace, din, dh_final=None, dc_final=None):
         dWh += h_prev.T @ dz
         db += dz.sum(axis=0)
         d_inputs[:, t, :] = dz @ Wx.T
-        dh = dz @ Wh.T + dh_skip
-        dc = dc_full * f + dc_skip
+        # masked positions pass the state gradient straight through
+        dh = np.where(m, dz @ Wh.T, dh_t)
+        dc = np.where(m, dc_full * f, dc)
     return d_inputs, dWx, dWh, db, dh, dc
 
 
@@ -289,59 +272,42 @@ def _check_ids(ids, size, what):
 # forward
 
 
-def _encoder_forward(model, src, src_mask, train, rng):
+def _stack_forward(model, stack, inputs, mask, init, train, rng):
+    """Run the "enc" or "dec" LSTM stack over (B, T, E) inputs under a (B, T) mask.
+
+    Each encoder layer runs directions ``enc{l}_fwd`` and ``enc{l}_bwd``
+    from zero states; each decoder layer runs the one direction ``dec{l}``
+    from ``init[l]``, the bridge's (h, c).  Layers above the first see their
+    input through dropout when training.  Returns the top layer's
+    outputs and each layer's final (h, c), both with the directions
+    concatenated along the last axis, and a cache for ``_stack_backward``.
+    """
     cfg = model.config
     p = model.params
-    _check_ids(src, cfg.source_vocab_size, "source")
-    inputs = p["src_embed"][src]
-    layer_caches = []
     finals = []
+    caches = []
     for layer in range(cfg.layers):
         drop = None
         if layer > 0 and train and cfg.dropout_p > 0:
             drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p)
             inputs = inputs * drop
-        out_f, (hf, cf), trace_f = _lstm_forward(
-            p[f"enc{layer}_fwd_Wx"], p[f"enc{layer}_fwd_Wh"], p[f"enc{layer}_fwd_b"],
-            inputs, mask=src_mask, reverse=False)
-        out_b, (hb, cb), trace_b = _lstm_forward(
-            p[f"enc{layer}_bwd_Wx"], p[f"enc{layer}_bwd_Wh"], p[f"enc{layer}_bwd_b"],
-            inputs, mask=src_mask, reverse=True)
-        layer_caches.append((trace_f, trace_b, drop, inputs.shape[2]))
-        finals.append((hf, cf, hb, cb))
-        inputs = np.concatenate([out_f, out_b], axis=2)
-    states = inputs * src_mask[:, :, None]
-    return states, finals, layer_caches
-
-
-def _bridge_forward(model, finals):
-    p = model.params
-    init = []
-    for layer in range(model.config.layers):
-        hf, cf, hb, cb = finals[layer]
-        eh = np.concatenate([hf, hb], axis=1)
-        ec = np.concatenate([cf, cb], axis=1)
-        init.append((eh @ p[f"bridge{layer}_h"], ec @ p[f"bridge{layer}_c"], eh, ec))
-    return init
-
-
-def _decoder_forward(model, tgt_in, init, train, rng):
-    cfg = model.config
-    p = model.params
-    inputs = p["tgt_embed"][tgt_in]
-    layer_caches = []
-    for layer in range(cfg.layers):
-        drop = None
-        if layer > 0 and train and cfg.dropout_p > 0:
-            drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p)
-            inputs = inputs * drop
-        h0, c0 = init[layer][0], init[layer][1]
-        out, _, trace = _lstm_forward(
-            p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], p[f"dec{layer}_b"],
-            inputs, mask=None, reverse=False, h0=h0, c0=c0)
-        layer_caches.append((trace, drop, inputs.shape[2]))
-        inputs = out
-    return inputs, layer_caches
+        if stack == "enc":
+            zero = np.zeros((len(inputs), cfg.hidden_units))
+            directions = [(f"enc{layer}_fwd", False, zero, zero),
+                          (f"enc{layer}_bwd", True, zero, zero)]
+        else:
+            directions = [(f"dec{layer}", False, *init[layer])]
+        outputs, traces, layer_finals = [], [], []
+        for name, reverse, h0, c0 in directions:
+            out, final, trace = _lstm_forward(
+                p[f"{name}_Wx"], p[f"{name}_Wh"], p[f"{name}_b"], inputs, mask, reverse, h0, c0)
+            outputs.append(out)
+            traces.append((name, trace))
+            layer_finals.append(final)
+        caches.append((traces, drop))
+        finals.append([np.concatenate(state, axis=1) for state in zip(*layer_finals)])
+        inputs = np.concatenate(outputs, axis=2)
+    return inputs, finals, caches
 
 
 def _forward(model, batch, train, rng):
@@ -356,10 +322,17 @@ def _forward(model, batch, train, rng):
         raise ValueError("dropout is active; a random generator is required")
 
     _check_ids(batch.tgt, cfg.target_vocab_size, "target")  # inputs and gold ids
-    enc_states, finals, enc_caches = _encoder_forward(model, batch.src, batch.src_mask, train, rng)
-    init = _bridge_forward(model, finals)
+    _check_ids(batch.src, cfg.source_vocab_size, "source")
+    p = model.params
+    enc_out, finals, enc_caches = _stack_forward(
+        model, "enc", p["src_embed"][batch.src], batch.src_mask, None, train, rng)
+    enc_states = enc_out * batch.src_mask[:, :, None]
+    # padded target positions carry zero loss weight, so the mask that
+    # freezes the decoder there changes neither the loss nor a gradient
     tgt_in = batch.tgt[:, :-1]
-    dec_out, dec_caches = _decoder_forward(model, tgt_in, init, train, rng)
+    dec_out, _, dec_caches = _stack_forward(
+        model, "dec", p["tgt_embed"][tgt_in], batch.loss_mask,
+        init_decoder_state(model, finals), train, rng)
     out_drop = None
     if train and cfg.dropout_p > 0:
         out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
@@ -371,7 +344,7 @@ def _forward(model, batch, train, rng):
     loss = float((nll * batch.loss_mask).sum() / n_tokens)
 
     cache = dict(
-        enc_states=enc_states, finals=finals, enc_caches=enc_caches, init=init,
+        enc_states=enc_states, finals=finals, enc_caches=enc_caches,
         tgt_in=tgt_in, dec_out=dec_out, dec_caches=dec_caches,
         logits=logits, gold=gold, n_tokens=n_tokens, **att,
     )
@@ -385,9 +358,12 @@ def forward_loss(model, batch, train_mode=False, rng=None) -> float:
 
 
 def encode_source(model, batch):
-    """Per-position encoder states (B, S, 2*hidden) plus per-layer final states."""
-    states, finals, _ = _encoder_forward(model, batch.src, batch.src_mask, False, None)
-    return states, finals
+    """Per-position encoder states (B, S, 2*hidden) plus per-layer final
+    (h, c), each (B, 2*hidden)."""
+    _check_ids(batch.src, model.config.source_vocab_size, "source")
+    out, finals, _ = _stack_forward(
+        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, False, None)
+    return out * batch.src_mask[:, :, None], finals
 
 
 def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
@@ -416,7 +392,9 @@ def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
 
 def init_decoder_state(model, finals):
     """Initial per-layer (h, c) decoder states from the bridge projection."""
-    return [(h0, c0) for h0, c0, _, _ in _bridge_forward(model, finals)]
+    p = model.params
+    return [(eh @ p[f"bridge{layer}_h"], ec @ p[f"bridge{layer}_c"])
+            for layer, (eh, ec) in enumerate(finals)]
 
 
 def decode_step(model, prev_ids, state, encoder_states, source_mask):
@@ -442,6 +420,37 @@ def decode_step(model, prev_ids, state, encoder_states, source_mask):
 
 # ---------------------------------------------------------------------------
 # backward
+
+
+def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
+    """Backpropagate through a stack run by ``_stack_forward``.
+
+    ``d_outputs`` is the gradient w.r.t. the top layer's outputs and
+    ``d_finals`` the gradient w.r.t. each layer's final (h, c), if any flows
+    into them.  Accumulates the weight gradients into ``grads``; returns
+    the gradient w.r.t. the stack's inputs and, per layer and direction,
+    the gradient w.r.t. the initial (h, c).
+    """
+    p = model.params
+    hid = model.config.hidden_units
+    d_init = [None] * len(caches)
+    for layer in range(len(caches) - 1, -1, -1):
+        traces, drop = caches[layer]
+        d_inputs, d_init[layer] = [], []
+        for k, (name, trace) in enumerate(traces):
+            part = slice(k * hid, (k + 1) * hid)
+            dh, dc = (d[:, part] for d in d_finals[layer]) if d_finals else (0.0, 0.0)
+            d_in, dWx, dWh, db, dh0, dc0 = _lstm_backward(
+                p[f"{name}_Wx"], p[f"{name}_Wh"], d_outputs[:, :, part], trace, dh, dc)
+            grads[f"{name}_Wx"] += dWx
+            grads[f"{name}_Wh"] += dWh
+            grads[f"{name}_b"] += db
+            d_inputs.append(d_in)
+            d_init[layer].append((dh0, dc0))
+        d_outputs = sum(d_inputs[1:], d_inputs[0])
+        if drop is not None:
+            d_outputs = d_outputs * drop
+    return d_outputs, d_init
 
 
 def backward(model, batch, rng=None):
@@ -486,55 +495,18 @@ def backward(model, batch, rng=None):
     grads["attn_W"] += flat(cache["dec_out"]).T @ flat(d_proj)
     d_dec_out += d_proj @ p["attn_W"].T
 
-    # decoder stack
-    d_init = [None] * cfg.layers
-    d_cursor = d_dec_out
-    for layer in range(cfg.layers - 1, -1, -1):
-        trace, drop, din = cache["dec_caches"][layer]
-        d_inputs, dWx, dWh, db, dh0, dc0 = _lstm_backward(
-            p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], d_cursor, trace, din)
-        grads[f"dec{layer}_Wx"] += dWx
-        grads[f"dec{layer}_Wh"] += dWh
-        grads[f"dec{layer}_b"] += db
-        d_init[layer] = (dh0, dc0)
-        if drop is not None:
-            d_inputs = d_inputs * drop
-        d_cursor = d_inputs
-    np.add.at(grads["tgt_embed"], cache["tgt_in"], d_cursor)
-
-    # bridge
+    # decoder stack, bridge, encoder stack
+    d_tgt, d_init = _stack_backward(model, grads, cache["dec_caches"], d_dec_out)
+    np.add.at(grads["tgt_embed"], cache["tgt_in"], d_tgt)
     d_finals = []
-    for layer in range(cfg.layers):
-        dh0, dc0 = d_init[layer]
-        _, _, eh, ec = cache["init"][layer]
+    for layer, ((dh0, dc0),) in enumerate(d_init):
+        eh, ec = cache["finals"][layer]
         grads[f"bridge{layer}_h"] += eh.T @ dh0
         grads[f"bridge{layer}_c"] += ec.T @ dc0
-        deh = dh0 @ p[f"bridge{layer}_h"].T
-        dec_ = dc0 @ p[f"bridge{layer}_c"].T
-        d_finals.append((deh[:, :hid], dec_[:, :hid], deh[:, hid:], dec_[:, hid:]))
-
-    # encoder stack
-    d_cursor = d_enc * batch.src_mask[:, :, None]
-    for layer in range(cfg.layers - 1, -1, -1):
-        trace_f, trace_b, drop, din = cache["enc_caches"][layer]
-        dhf, dcf, dhb, dcb = d_finals[layer]
-        d_in_f, dWx, dWh, db, _, _ = _lstm_backward(
-            p[f"enc{layer}_fwd_Wx"], p[f"enc{layer}_fwd_Wh"],
-            d_cursor[:, :, :hid], trace_f, din, dh_final=dhf, dc_final=dcf)
-        grads[f"enc{layer}_fwd_Wx"] += dWx
-        grads[f"enc{layer}_fwd_Wh"] += dWh
-        grads[f"enc{layer}_fwd_b"] += db
-        d_in_b, dWx, dWh, db, _, _ = _lstm_backward(
-            p[f"enc{layer}_bwd_Wx"], p[f"enc{layer}_bwd_Wh"],
-            d_cursor[:, :, hid:], trace_b, din, dh_final=dhb, dc_final=dcb)
-        grads[f"enc{layer}_bwd_Wx"] += dWx
-        grads[f"enc{layer}_bwd_Wh"] += dWh
-        grads[f"enc{layer}_bwd_b"] += db
-        d_inputs = d_in_f + d_in_b
-        if drop is not None:
-            d_inputs = d_inputs * drop
-        d_cursor = d_inputs
-    np.add.at(grads["src_embed"], batch.src, d_cursor)
+        d_finals.append((dh0 @ p[f"bridge{layer}_h"].T, dc0 @ p[f"bridge{layer}_c"].T))
+    d_src, _ = _stack_backward(model, grads, cache["enc_caches"],
+                               d_enc * batch.src_mask[:, :, None], d_finals)
+    np.add.at(grads["src_embed"], batch.src, d_src)
 
     return loss, grads
 
@@ -601,7 +573,7 @@ def load_model(path, expect_vocab: Vocab | None = None):
         header = json.loads(body[16:16 + header_len].decode("utf-8"))
         cfg = ModelConfig(**header["config"])
         vocab = Vocab(header["source_symbols"], header["target_symbols"], header["min_freq"])
-    except (KeyError, ValueError, UnicodeDecodeError) as err:
+    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as err:
         raise CheckpointError(f"malformed checkpoint header: {err}") from None
     if cfg.source_vocab_size != vocab.source_size or cfg.target_vocab_size != vocab.target_size:
         raise CheckpointError("checkpoint config and stored vocabulary disagree")

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -6,7 +8,10 @@ from corpusgen import make_corpus, tiny_corpus
 from lemtag import cli
 from lemtag.cli import main
 from lemtag.conllu import read_corpus_file, write_corpus
-from lemtag.snippets import SnippetConfig, examples_for_corpus, format_example
+from lemtag.model import (CheckpointError, ModelConfig, init_model, load_model,
+                          save_model)
+from lemtag.snippets import (CONTROL_SYMBOLS, SnippetConfig, Vocab,
+                             examples_for_corpus, format_example)
 from lemtag.training import TrainingDivergedError
 
 
@@ -139,6 +144,32 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     code, _, err = run(capsys, "predict", str(ckpt), gold_file,
                        "--out", str(tmp_path / "o.tsv"))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda config: {k: v for k, v in config.items() if k != "source_vocab_size"},
+    lambda config: dict(config, beam_width=5),
+    lambda config: list(config.values()),
+], ids=["missing-field", "unknown-field", "not-an-object"])
+def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, edit):
+    vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))
+    model = init_model(ModelConfig(vocab.source_size, vocab.target_size,
+                                   embedding_size=2, hidden_units=2, layers=1))
+    ckpt = tmp_path / "bad-config.ckpt"
+    save_model(model, vocab, ckpt)
+    # rewrite the header's config and give the file a valid checksum again
+    body = ckpt.read_bytes()[:-4]
+    (header_len,) = struct.unpack("<Q", body[8:16])
+    header = json.loads(body[16:16 + header_len])
+    header["config"] = edit(header["config"])
+    text = json.dumps(header).encode("utf-8")
+    body = body[:8] + struct.pack("<Q", len(text)) + text + body[16 + header_len:]
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        load_model(ckpt)
+    code, _, err = run(capsys, "predict", str(ckpt), gold_file,
+                       "--out", str(tmp_path / "o.tsv"))
+    assert code == 2 and "malformed checkpoint header" in err
 
 
 def test_train_divergence_exits_three(capsys, monkeypatch, tmp_path, gold_file):

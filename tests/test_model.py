@@ -213,6 +213,13 @@ def test_loss_is_token_weighted_mean_of_rows():
         parts.append((forward_loss(m, make_batch([pair])), n))
     expected = sum(l * n for l, n in parts) / sum(n for _, n in parts)
     assert full == pytest.approx(expected, rel=1e-12)
+    # padded positions (source and target) contribute no gradient either
+    _, full_grads = backward(m, make_batch(pairs))
+    row_grads = [(backward(m, make_batch([pair]))[1], len(pair[1]) - 1) for pair in pairs]
+    total = sum(n for _, n in row_grads)
+    for name, grad in full_grads.items():
+        expected = sum(g[name] * n for g, n in row_grads) / total
+        np.testing.assert_allclose(grad, expected, rtol=1e-10, err_msg=name)
 
 
 def test_forward_loss_requires_targets():
