@@ -16,6 +16,7 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -46,8 +47,9 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("source_vocab_size", "target_vocab_size", "embedding_size",
                      "hidden_units", "layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.attention != "general":
@@ -167,12 +169,9 @@ def make_batch(pairs) -> Batch:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|x|) never overflows; same bytes as 1/(1+exp(-x)) | exp(x)/(1+exp(x))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_softmax(logits):
@@ -186,13 +185,13 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_step(Wx, Wh, b, x, h, c):
+def _lstm_step(xw, Wh, b, h, c):
+    # xw is the step's input already projected: x @ Wx, (B, 4H)
     hid = Wh.shape[0]
-    z = x @ Wx + h @ Wh + b
-    i = _sigmoid(z[:, :hid])
-    f = _sigmoid(z[:, hid:2 * hid])
+    z = xw + h @ Wh + b
+    s = _sigmoid(z)
+    i, f, o = s[:, :hid], s[:, hid:2 * hid], s[:, 3 * hid:]
     g = np.tanh(z[:, 2 * hid:3 * hid])
-    o = _sigmoid(z[:, 3 * hid:])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
@@ -204,38 +203,42 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
 
     ``mask`` (B, T) freezes the state at padded positions so the final state
     is the state at each row's last real position; ``reverse`` processes
-    time back to front.  Returns outputs (B, T, H), the final (h, c), and a
-    cache for the backward pass.
+    time back to front.  ``inputs @ Wx`` is one GEMM before the time loop.
+    Returns outputs (B, T, H), the final (h, c), and a cache for the
+    backward pass: the (B*T, Din) inputs, each step's starting h (B, T, H)
+    and per-step tuples.
     """
-    bsz, steps, _ = inputs.shape
+    bsz, steps, din = inputs.shape
+    x = inputs.reshape(-1, din)
+    xw = (x @ Wx).reshape(bsz, steps, -1)
     outputs = np.zeros((bsz, steps, Wh.shape[0]))
+    h_prev = np.empty_like(outputs)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     trace = []
     for t in order:
-        x = inputs[:, t, :]
-        h_new, c_new, (i, f, g, o, tanh_c) = _lstm_step(Wx, Wh, b, x, h, c)
+        h_prev[:, t, :] = h
+        h_new, c_new, gates = _lstm_step(xw[:, t, :], Wh, b, h, c)
         m = mask[:, t][:, None] > 0
-        trace.append((t, x, h, c, i, f, g, o, tanh_c, m))
+        trace.append((t, c, m, *gates))
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
         outputs[:, t, :] = h
-    return outputs, (h, c), trace
+    return outputs, (h, c), (x, h_prev, trace)
 
 
-def _lstm_backward(Wx, Wh, d_outputs, trace, dh, dc):
+def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
     """Backpropagate through one LSTM layer.
 
     ``d_outputs`` holds gradients w.r.t. the per-position outputs; ``dh``
     and ``dc`` (arrays, or 0.0 for none) hold the gradient flowing into the
     final state (e.g. from the encoder-decoder bridge).  Returns gradients
-    for the inputs, the three weight tensors, and the initial state.
+    for the inputs, the three weight tensors, and the initial state.  Only
+    ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz.
     """
+    x, h_prev, trace = cache
     bsz, steps, hid = d_outputs.shape
-    dWx = np.zeros_like(Wx)
-    dWh = np.zeros_like(Wh)
-    db = np.zeros(4 * hid)
-    d_inputs = np.zeros((bsz, steps, Wx.shape[0]))
-    for (t, x, h_prev, c_prev, i, f, g, o, tanh_c, m) in reversed(trace):
+    dz_all = np.empty((bsz, steps, 4 * hid))
+    for (t, c_prev, m, i, f, g, o, tanh_c) in reversed(trace):
         dh_t = dh + d_outputs[:, t, :]
         dh_in = np.where(m, dh_t, 0.0)
         dc_in = np.where(m, dc, 0.0)
@@ -244,18 +247,14 @@ def _lstm_backward(Wx, Wh, d_outputs, trace, dh, dc):
         di = dc_full * g
         df = dc_full * c_prev
         dg = dc_full * i
-        dz = np.concatenate(
-            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g ** 2), do * o * (1.0 - o)],
-            axis=1,
-        )
-        dWx += x.T @ dz
-        dWh += h_prev.T @ dz
-        db += dz.sum(axis=0)
-        d_inputs[:, t, :] = dz @ Wx.T
+        dz = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g ** 2),
+                             do * o * (1.0 - o)], axis=1, out=dz_all[:, t, :])
         # masked positions pass the state gradient straight through
         dh = np.where(m, dz @ Wh.T, dh_t)
         dc = np.where(m, dc_full * f, dc)
-    return d_inputs, dWx, dWh, db, dh, dc
+    dz = dz_all.reshape(-1, 4 * hid)
+    d_inputs = (dz @ Wx.T).reshape(bsz, steps, -1)
+    return d_inputs, x.T @ dz, h_prev.reshape(-1, hid).T @ dz, dz.sum(axis=0), dh, dc
 
 
 def _dropout_mask(rng, shape, p):
@@ -408,7 +407,7 @@ def decode_step(model, prev_ids, state, encoder_states, source_mask):
     new_state = []
     for layer, (h, c) in enumerate(state):
         h_new, c_new, _ = _lstm_step(
-            p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], p[f"dec{layer}_b"], x, h, c)
+            x @ p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], p[f"dec{layer}_b"], h, c)
         new_state.append((h_new, c_new))
         x = h_new
     if encoder_states.ndim == 2:

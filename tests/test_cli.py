@@ -150,7 +150,11 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     lambda config: {k: v for k, v in config.items() if k != "source_vocab_size"},
     lambda config: dict(config, beam_width=5),
     lambda config: list(config.values()),
-], ids=["missing-field", "unknown-field", "not-an-object"])
+    lambda config: dict(config, layers=1.0),
+    lambda config: dict(config, hidden_units=64.0),
+    lambda config: dict(config, embedding_size=True),
+], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
+        "float-hidden-units", "bool-embedding-size"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))
     model = init_model(ModelConfig(vocab.source_size, vocab.target_size,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, attend,
-                          backward, decode_step, encode_source, forward_loss,
+from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, _lstm_backward,
+                          _lstm_forward, _lstm_step, _sigmoid, attend, backward,
+                          decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
                           make_batch, save_model, sgd_update, zero_gradients)
 from lemtag.snippets import CONTROL_SYMBOLS, PAD_ID, Vocab
@@ -40,6 +41,8 @@ def test_config_validation():
         tiny_config(embedding_size=0)
     with pytest.raises(ValueError):
         tiny_config(attention="dot")
+    with pytest.raises(ValueError):
+        tiny_config(layers=1.0)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -91,6 +94,93 @@ def test_encoder_shapes_and_determinism():
     assert len(finals) == cfg.layers
     again, _ = encode_source(m, batch)
     assert np.array_equal(states, again)
+
+
+def assert_close(actual, desired):
+    # rtol 1e-12, with an absolute floor at that share of the tensor's largest value
+    np.testing.assert_allclose(actual, desired, rtol=1e-12,
+                               atol=1e-12 * float(np.abs(desired).max()))
+
+
+def test_encode_source_padded_rows_match_windows_encoded_alone():
+    cfg = tiny_config(layers=2, hidden_units=5)
+    m = init_model(cfg)
+    sources = [[5, 6, 7, 8, 9, 10], [7, 5], [9, 8, 6]]
+    states, finals = encode_source(m, make_batch([(s, None) for s in sources]))
+    for row, src in enumerate(sources):
+        alone, alone_finals = encode_source(m, make_batch([(src, None)]))
+        assert_close(states[row:row + 1, :len(src)], alone)
+        assert np.all(states[row, len(src):] == 0.0)
+        for (h, c), (h_alone, c_alone) in zip(finals, alone_finals):
+            assert_close(h[row:row + 1], h_alone)
+            assert_close(c[row:row + 1], c_alone)
+
+
+def reference_lstm(Wx, Wh, b, inputs, mask, reverse, h, c, d_outputs, dh, dc):
+    """One LSTM layer stepped a position at a time, forward and backward,
+    with the weight gradients accumulated per step."""
+    bsz, steps, _ = inputs.shape
+    outputs = np.zeros((bsz, steps, Wh.shape[0]))
+    tape = []
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        x = inputs[:, t, :]
+        h_new, c_new, gates = _lstm_step(x @ Wx, Wh, b, h, c)
+        m = mask[:, t][:, None] > 0
+        tape.append((t, x, h, c, m, gates))
+        h, c = np.where(m, h_new, h), np.where(m, c_new, c)
+        outputs[:, t, :] = h
+    final = (h, c)
+    dWx, dWh, db = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b)
+    d_inputs = np.zeros_like(inputs)
+    for t, x, h_prev, c_prev, m, (i, f, g, o, tanh_c) in reversed(tape):
+        dh_t = dh + d_outputs[:, t, :]
+        dh_in, dc_in = np.where(m, dh_t, 0.0), np.where(m, dc, 0.0)
+        dc_full = dc_in + dh_in * o * (1.0 - tanh_c ** 2)
+        dz = np.concatenate([dc_full * g * i * (1.0 - i), dc_full * c_prev * f * (1.0 - f),
+                             dc_full * i * (1.0 - g ** 2), dh_in * tanh_c * o * (1.0 - o)],
+                            axis=1)
+        dWx += x.T @ dz
+        dWh += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        d_inputs[:, t, :] = dz @ Wx.T
+        dh, dc = np.where(m, dz @ Wh.T, dh_t), np.where(m, dc_full * f, dc)
+    return outputs, final, (d_inputs, dWx, dWh, db, dh, dc)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_layer_matches_stepwise_reference(reverse):
+    rng = np.random.default_rng(3)
+    bsz, steps, din, hid = 3, 6, 4, 5
+    Wx = rng.normal(scale=0.5, size=(din, 4 * hid))
+    Wh = rng.normal(scale=0.5, size=(hid, 4 * hid))
+    b = rng.normal(scale=0.5, size=4 * hid)
+    inputs = rng.normal(size=(bsz, steps, din))
+    mask = (np.arange(steps)[None, :] < np.array([[6], [3], [1]])).astype(np.float64)
+    h0, c0 = rng.normal(size=(bsz, hid)), rng.normal(size=(bsz, hid))
+    d_outputs = rng.normal(size=(bsz, steps, hid)) * mask[:, :, None]
+    dh, dc = rng.normal(size=(bsz, hid)), rng.normal(size=(bsz, hid))
+
+    outputs, final, cache = _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h0, c0)
+    grads = _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc)
+    ref_outputs, ref_final, ref_grads = reference_lstm(
+        Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc)
+    for got, want in zip((outputs, *final, *grads), (ref_outputs, *ref_final, *ref_grads)):
+        assert got.shape == want.shape
+        assert_close(got, want)
+
+
+def test_sigmoid_matches_two_branch_form_bytewise():
+    mags = np.array([0.0, 1e-300, 1.0, 20.0, 40.0, 709.0, 745.0, 800.0, np.inf])
+    x = np.concatenate([mags, -mags, np.random.default_rng(0).normal(scale=30, size=37)])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    ref[~pos] = e / (1.0 + e)
+    with np.errstate(over="raise"):
+        assert _sigmoid(x).tobytes() == ref.tobytes()
+        assert _sigmoid(x.reshape(1, -1)).tobytes() == ref.tobytes()
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_encoder_is_direction_sensitive():
