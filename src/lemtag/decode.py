@@ -10,6 +10,9 @@ with a grammeme before any lemma character, or an empty unit), "short"
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,14 +22,18 @@ from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 from .model import (Model, _log_softmax, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
-                       GRAMMEME_PREFIX, SnippetConfig, Vocab,
-                       build_full_sequence_example, build_window_examples,
-                       encode, is_grammeme_symbol)
+                       GRAMMEME_PREFIX, SnippetConfig, Vocab, encode,
+                       examples_for_corpus, is_grammeme_symbol)
 
 FLAG_TRUNCATED = "truncated"
 FLAG_MALFORMED = "malformed"
 FLAG_SHORT = "short"
 FLAG_MISMATCH = "mismatch"
+
+
+# examples per batched search in predict_corpus; outputs do not depend on
+# it, it only trades padding against batch width
+CHUNK_SOURCES = 32
 
 
 @dataclass(frozen=True)
@@ -35,10 +42,12 @@ class DecodeConfig:
     max_length: int | None = None
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+        sizes = [("beam_size", self.beam_size)]
+        if self.max_length is not None:
+            sizes.append(("max_length", self.max_length))
+        for name, value in sizes:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
     def length_limit(self, source_length: int) -> int:
         if self.max_length is not None:
@@ -52,73 +61,113 @@ def _check_vocab(model: Model, vocab: Vocab):
         raise ValueError("model and vocabulary sizes disagree")
 
 
-def _search(model: Model, source_ids, cfg: DecodeConfig, beam_size: int):
-    """Beam search with the greedy rollout decoded alongside as a candidate.
+class _Source:
+    """One source's search: alive beam hypotheses (kept sorted by ids),
+    ended ones, and the greedy rollout decoded alongside as a candidate."""
 
-    The source is encoded once; each step decodes the alive hypotheses and
-    the greedy one as rows of one ``decode_step`` call (``beam_size`` 0
-    leaves the greedy row alone).  The alive list is kept sorted by ids, so
-    one stable argsort over the flat (rows x V) scores breaks ties toward
-    the lexicographically smallest ids.  Returns (ids, finished flag).
+    def __init__(self, index, limit, beam_size):
+        self.index, self.limit = index, limit
+        self.alive = [((), 0.0, 0)] if beam_size else []  # (ids, score, row in block)
+        self.finished, self.best = [], -np.inf  # (score, ids) of ended hypotheses; best score
+        self.greedy, self.greedy_score, self.greedy_live = [], 0.0, True
+
+    def result(self):
+        candidates = list(self.finished)
+        if not self.greedy_live:
+            candidates.append((self.greedy_score, tuple(self.greedy)))
+        if candidates:
+            return list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
+        if self.alive:
+            return list(min(self.alive, key=lambda a: (-a[1], a[0]))[0]), False
+        return self.greedy, False
+
+
+def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
+    """Beam search over many sources, each with its greedy rollout decoded
+    alongside as a candidate (``beam_size`` 0 leaves the greedy rollouts
+    alone).  Returns one (ids, finished flag) per source.
+
+    The sources are encoded once, as one padded batch.  Each live source
+    owns a block of ``beam_size + 1`` consecutive decoder rows, its beam
+    rows and then its greedy row, and each step decodes every block in one
+    ``decode_step`` call.  Unused slots carry the start id and a copy of
+    the greedy row's state; their outputs are ignored.  Within a block the
+    flat (hypothesis x V) scores go through one stable argsort, so ties go
+    to the lexicographically smallest ids.  A source that stops leaves the
+    batch by row gather.
     """
-    batch = make_batch([(list(source_ids), None)])
+    batch = make_batch([(list(s), None) for s in sources])
     enc, finals = encode_source(model, batch)
+    mask = batch.src_mask
+    width = beam_size + 1
+    live = [_Source(i, cfg.length_limit(len(s)), beam_size) for i, s in enumerate(sources)]
+    results = [None] * len(sources)
     state = init_decoder_state(model, finals)
-    alive = [((), 0.0, 0)] if beam_size else []  # (ids, score, state row)
-    finished, best = [], -np.inf  # (score, ids) of ended hypotheses; best score
-    greedy, greedy_score, greedy_row, greedy_live = [], 0.0, 0, True
-    for _ in range(cfg.length_limit(len(source_ids))):
-        if alive or greedy_row:  # a lone greedy row needs no gather
-            rows = [row for _, _, row in alive] + [greedy_row] * greedy_live
-            state = [(h[rows], c[rows]) for h, c in state]
-        prev = [ids[-1] if ids else START_ID for ids, _, _ in alive]
-        prev += [greedy[-1] if greedy else START_ID] * greedy_live
-        logits, state = decode_step(model, np.array(prev), state,
-                                    enc[0], batch.src_mask[0])
+    rows = np.repeat(np.arange(len(sources)), width)  # state row of each decoder row
+    prev = [START_ID] * len(rows)
+    for step in itertools.count(1):
+        state = [(h[rows], c[rows]) for h, c in state]
+        logits, state = decode_step(model, np.array(prev), state, enc, mask)
+        vocab_size = logits.shape[1]
+        greedy_logits = logits[beam_size::width].copy()
+        greedy_logits[:, [PAD_ID, START_ID]] = -np.inf
+        greedy_next = greedy_logits.argmax(axis=1)
         if beam_size:
-            logp = _log_softmax(logits)
-            logp[:, PAD_ID] = logp[:, START_ID] = -np.inf
-        if greedy_live:
-            row = logits[-1]
-            row[PAD_ID] = row[START_ID] = -np.inf
-            nxt = int(np.argmax(row))
-            if beam_size:
-                greedy_score += logp[-1, nxt]
-            greedy_live = nxt != END_ID
-            greedy += [nxt] * greedy_live
-            greedy_row = len(alive)  # greedy is the last row
-        if alive:
-            totals = (np.array([score for _, score, _ in alive])[:, None]
-                      + logp[:len(alive)]).ravel()
-            expanded = []
-            for k in np.argsort(-totals, kind="stable"):
-                if len(expanded) == beam_size or not np.isfinite(totals[k]):
-                    break
-                bi, sym = divmod(int(k), logp.shape[1])
-                if sym == END_ID:
-                    finished.append((totals[k], alive[bi][0]))
-                    best = max(best, totals[k])
-                else:
-                    expanded.append((alive[bi][0] + (sym,), totals[k], bi))
-            alive = sorted(expanded)
-            if alive and best >= max(score for _, score, _ in alive):
-                alive = []  # scores only decrease as hypotheses grow
-        if greedy_live and best > greedy_score:
-            greedy_live, greedy_score = False, -np.inf  # it can no longer win
-        if not alive and not greedy_live:
-            break
-
-    candidates = finished + [(greedy_score, tuple(greedy))] * (not greedy_live)
-    if candidates:
-        return list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
-    if alive:
-        return list(min(alive, key=lambda a: (-a[1], a[0]))[0]), False
-    return greedy, False
+            logp = _log_softmax(logits).reshape(len(live), width, vocab_size)
+            logp[:, :, [PAD_ID, START_ID]] = -np.inf
+            greedy_logp = logp[np.arange(len(live)), beam_size, greedy_next].tolist()
+            scores = np.full((len(live), beam_size), -np.inf)
+            for b, src in enumerate(live):
+                scores[b, :len(src.alive)] = [score for _, score, _ in src.alive]
+            totals = (scores[:, :, None] + logp[:, :beam_size]).reshape(len(live), -1)
+            # each alive hypothesis ends at most once, so 2 * beam_size
+            # entries always fill the beam or reach the non-finite tail
+            top = np.argsort(-totals, axis=1, kind="stable")[:, :2 * beam_size]
+            top_totals = np.take_along_axis(totals, top, axis=1).tolist()
+            top = top.tolist()
+        greedy_next = greedy_next.tolist()
+        rows, prev, kept = [], [], []
+        for b, src in enumerate(live):
+            if src.greedy_live:
+                nxt = greedy_next[b]
+                if beam_size:
+                    src.greedy_score += greedy_logp[b]
+                src.greedy_live = nxt != END_ID
+                src.greedy += [nxt] * src.greedy_live
+            if src.alive:
+                expanded = []
+                for k, total in zip(top[b], top_totals[b]):
+                    if len(expanded) == beam_size or not math.isfinite(total):
+                        break
+                    bi, sym = divmod(k, vocab_size)
+                    if sym == END_ID:
+                        src.finished.append((total, src.alive[bi][0]))
+                        src.best = max(src.best, total)
+                    else:
+                        expanded.append((src.alive[bi][0] + (sym,), total, bi))
+                src.alive = sorted(expanded)
+                if src.alive and src.best >= max(score for _, score, _ in src.alive):
+                    src.alive = []  # scores only decrease as hypotheses grow
+            if src.greedy_live and src.best > src.greedy_score:
+                src.greedy_live, src.greedy_score = False, -np.inf  # it can no longer win
+            if step == src.limit or not (src.alive or src.greedy_live):
+                results[src.index] = src.result()
+                continue
+            base, unused = b * width, beam_size - len(src.alive)
+            kept.append(b)
+            rows += [base + bi for _, _, bi in src.alive] + [base + beam_size] * (unused + 1)
+            prev += [ids[-1] for ids, _, _ in src.alive] + [START_ID] * unused
+            prev.append(src.greedy[-1] if src.greedy_live else START_ID)
+        if not kept:
+            return results
+        if len(kept) < len(live):
+            live = [live[b] for b in kept]
+            enc, mask = enc[kept], mask[kept]
 
 
 def greedy_ids(model: Model, source_ids, cfg: DecodeConfig):
     """Argmax rollout. Returns (ids without start/end, finished flag)."""
-    return _search(model, source_ids, cfg, 0)
+    return _search(model, [source_ids], cfg, 0)[0]
 
 
 def score_sequence(model: Model, source_ids, target_ids) -> float:
@@ -140,7 +189,7 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
     """
     if cfg.beam_size == 1:
         return greedy_ids(model, source_ids, cfg)
-    return _search(model, source_ids, cfg, cfg.beam_size)
+    return _search(model, [source_ids], cfg, cfg.beam_size)[0]
 
 
 def greedy_decode(model: Model, source_ids, vocab: Vocab,
@@ -270,14 +319,6 @@ def majority_vote(ballot):
 # sentence / corpus prediction
 
 
-def _decode_example(model, vocab, example, cfg):
-    source_ids, _ = encode(example, vocab)
-    ids, finished = beam_ids(model, source_ids, cfg)
-    symbols = [vocab.target_symbol(i) for i in ids]
-    units, malformed = parse_analysis_units(symbols)
-    return units, malformed, finished
-
-
 def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
                      snippet_cfg: SnippetConfig, decode_cfg: DecodeConfig,
                      voting: bool = False):
@@ -286,15 +327,19 @@ def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
     Returns (analyses, flags), both of sentence length; a flag string is
     "" for a clean token, else comma-joined flag names.
     """
-    _check_vocab(model, vocab)
-    if voting and snippet_cfg.mode != "context_window":
-        raise ValueError("voting requires context_window mode")
+    predicted, flags = predict_corpus(model, Corpus((sentence,)), vocab, snippet_cfg,
+                                      decode_cfg, voting)
+    return [token.gold for token in predicted.sentences[0].tokens], flags[0]
+
+
+def _sentence_analyses(sentence, decoded, snippet_cfg, voting):
+    """Analyses and flags of one sentence from its examples' decodes,
+    each (units, malformed flags, finished flag)."""
     length = len(sentence)
     flags = [set() for _ in range(length)]
 
     if snippet_cfg.mode == "full_sequence":
-        example = build_full_sequence_example(sentence)
-        units, malformed, finished = _decode_example(model, vocab, example, decode_cfg)
+        (units, malformed, finished), = decoded
         analyses, mismatch = align_full_sequence(units, sentence)
         for i in range(length):
             if not finished:
@@ -305,8 +350,6 @@ def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
                 flags[i].add(FLAG_MALFORMED)
         return analyses, _render_flags(flags)
 
-    examples = build_window_examples(sentence, snippet_cfg)
-    decoded = [_decode_example(model, vocab, e, decode_cfg) for e in examples]
     ballots = build_ballots(length, snippet_cfg.window,
                             [list(zip(units, malformed)) for units, malformed, _ in decoded])
     analyses: list[Analysis] = []
@@ -335,12 +378,31 @@ def _render_flags(flag_sets):
 def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
                    snippet_cfg: SnippetConfig, decode_cfg: DecodeConfig,
                    voting: bool = False):
-    """Predict every sentence; returns (corpus with analyses, per-sentence flags)."""
-    sentences = []
-    all_flags = []
+    """Predict every sentence; returns (corpus with analyses, per-sentence flags).
+
+    Every example of the corpus (one per token in context-window mode,
+    one per sentence in full-sequence mode) is decoded by one batched
+    search per chunk of ``CHUNK_SOURCES`` examples of similar length.
+    """
+    _check_vocab(model, vocab)
+    if voting and snippet_cfg.mode != "context_window":
+        raise ValueError("voting requires context_window mode")
+    sources = [encode(e, vocab)[0] for e in examples_for_corpus(corpus, snippet_cfg)]
+    beam_size = decode_cfg.beam_size if decode_cfg.beam_size > 1 else 0
+    order = sorted(range(len(sources)), key=lambda i: (len(sources[i]), i))
+    decoded = [None] * len(sources)
+    for start in range(0, len(order), CHUNK_SOURCES):
+        chunk = order[start:start + CHUNK_SOURCES]
+        searched = _search(model, [sources[i] for i in chunk], decode_cfg, beam_size)
+        for i, (ids, finished) in zip(chunk, searched):
+            units, malformed = parse_analysis_units([vocab.target_symbol(k) for k in ids])
+            decoded[i] = (units, malformed, finished)
+    sentences, all_flags, start = [], [], 0
     for sentence in corpus:
-        analyses, flags = predict_sentence(
-            model, sentence, vocab, snippet_cfg, decode_cfg, voting)
+        count = 1 if snippet_cfg.mode == "full_sequence" else len(sentence)
+        analyses, flags = _sentence_analyses(sentence, decoded[start:start + count],
+                                             snippet_cfg, voting)
+        start += count
         tokens = [Token(tok.surface, gold=analysis)
                   for tok, analysis in zip(sentence.tokens, analyses)]
         sentences.append(Sentence(tuple(tokens)))

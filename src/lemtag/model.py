@@ -398,8 +398,9 @@ def init_decoder_state(model, finals):
 
 def decode_step(model, prev_ids, state, encoder_states, source_mask):
     """One inference step: embed previous ids, advance the LSTM stack and
-    attend.  A source shared by all rows, (S, 2H) with mask (S,), is
-    broadcast over them.  Returns (logits (B, V), new state)."""
+    attend.  The rows are grouped per source: encoder states (N, S, 2H)
+    and mask (N, S) serve rows/N consecutive rows each, attended to as one
+    (N, rows/N, H) batch.  Returns (logits (rows, V), new state)."""
     p = model.params
     prev_ids = np.asarray(prev_ids, dtype=np.int64)
     _check_ids(prev_ids, model.config.target_vocab_size, "target")
@@ -410,11 +411,9 @@ def decode_step(model, prev_ids, state, encoder_states, source_mask):
             x @ p[f"dec{layer}_Wx"], p[f"dec{layer}_Wh"], p[f"dec{layer}_b"], h, c)
         new_state.append((h_new, c_new))
         x = h_new
-    if encoder_states.ndim == 2:
-        encoder_states = np.broadcast_to(encoder_states, (len(x),) + encoder_states.shape)
-        source_mask = source_mask[None, :]
-    logits, _ = attend(model, x[:, None, :], encoder_states, source_mask)
-    return logits[:, 0, :], new_state
+    logits, _ = attend(model, x.reshape(len(encoder_states), -1, x.shape[1]),
+                       encoder_states, source_mask)
+    return logits.reshape(len(x), -1), new_state
 
 
 # ---------------------------------------------------------------------------

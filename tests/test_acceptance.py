@@ -199,10 +199,10 @@ def test_criterion_5_decode_equivalences(monkeypatch):
     gs = next(s for s in vocab.target_symbols if s.startswith("+"))
     bad_ids = [vocab.target_id(gs), vocab.target_id(WORD_BOUNDARY)]
 
-    def malformed(model_, src, cfg):
-        return list(bad_ids), False
+    def malformed(model_, sources, cfg, beam_size):
+        return [(list(bad_ids), False) for _ in sources]
 
-    monkeypatch.setattr(decode_mod, "greedy_ids", malformed)
+    monkeypatch.setattr(decode_mod, "_search", malformed)
     for sentence in corpus.sentences[:3]:
         for voting in (False, True):
             analyses, flags = predict_sentence(model, sentence, vocab, snip,

@@ -138,6 +138,21 @@ def test_predict_rejects_bad_beam_before_loading(capsys, tmp_path):
     assert code == 1
 
 
+def test_predict_empty_corpus_writes_empty_output(capsys, tmp_path):
+    vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))
+    model = init_model(ModelConfig(vocab.source_size, vocab.target_size,
+                                   embedding_size=2, hidden_units=2, layers=1))
+    ckpt = tmp_path / "tiny.ckpt"
+    save_model(model, vocab, ckpt)
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "o.tsv"
+    for extra in ((), ("--vote", "--beam", "3"), ("--mode", "full_sequence")):
+        code, _, err = run(capsys, "predict", str(ckpt), str(empty), "--out", str(out), *extra)
+        assert code == 0, err
+        assert out.read_text(encoding="utf-8") == ""
+
+
 def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file):
     ckpt = tmp_path / "junk.ckpt"
     ckpt.write_bytes(b"\x00" * 64)

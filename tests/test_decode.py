@@ -1,11 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from corpusgen import make_corpus
 from lemtag import decode as decode_mod
-from lemtag.conllu import EMPTY_TAG, Analysis, MorphoTag, Sentence, Token
+from lemtag.conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
                            beam_ids, build_ballots, greedy_decode, greedy_ids,
                            majority_vote, parse_analysis_units,
@@ -54,6 +55,9 @@ def test_decode_config_validation():
         DecodeConfig(beam_size=0)
     with pytest.raises(ValueError):
         DecodeConfig(max_length=0)
+    for sizes in ({"beam_size": 2.5}, {"beam_size": True}, {"max_length": 2.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DecodeConfig(**sizes)
     assert DecodeConfig().length_limit(10) == 36
     assert DecodeConfig(max_length=7).length_limit(10) == 7
 
@@ -271,6 +275,143 @@ def test_beam_encodes_once_and_decodes_greedy_alongside(monkeypatch):
     assert [calls[name] for name in names] == [1, 0, 3]
 
 
+def one_source_search(model, source_ids, cfg, beam_size):
+    """The search of one source alone, one hypothesis list per step: the
+    reference the batched search is held to."""
+    batch = make_batch([(list(source_ids), None)])
+    enc, finals = encode_source(model, batch)
+    state = init_decoder_state(model, finals)
+    alive = [((), 0.0, 0)] if beam_size else []
+    finished, best = [], -np.inf
+    greedy, greedy_score, greedy_row, greedy_live = [], 0.0, 0, True
+    for _ in range(cfg.length_limit(len(source_ids))):
+        rows = [row for _, _, row in alive] + [greedy_row] * greedy_live
+        state = [(h[rows], c[rows]) for h, c in state]
+        prev = [ids[-1] if ids else START_ID for ids, _, _ in alive]
+        prev += [greedy[-1] if greedy else START_ID] * greedy_live
+        logits, state = decode_step(model, np.array(prev), state,
+                                    np.repeat(enc, len(prev), axis=0),
+                                    np.repeat(batch.src_mask, len(prev), axis=0))
+        logp = decode_mod._log_softmax(logits)
+        logp[:, [PAD_ID, START_ID]] = -np.inf
+        if greedy_live:
+            row = logits[-1].copy()
+            row[[PAD_ID, START_ID]] = -np.inf
+            nxt = int(np.argmax(row))
+            greedy_score += logp[-1, nxt] if beam_size else 0.0
+            greedy_live = nxt != END_ID
+            greedy += [nxt] * greedy_live
+            greedy_row = len(alive)
+        expanded = []
+        for bi, (ids, score, _) in enumerate(alive):
+            for sym in range(logp.shape[1]):
+                expanded.append((score + logp[bi, sym], ids + (sym,), bi))
+        expanded.sort(key=lambda e: (-e[0], e[1]))  # ties to the smallest ids
+        alive = []
+        for total, ids, bi in expanded:
+            if len(alive) == beam_size or not np.isfinite(total):
+                break
+            if ids[-1] == END_ID:
+                finished.append((total, ids[:-1]))
+                best = max(best, total)
+            else:
+                alive.append((ids, total, bi))
+        alive.sort()
+        if alive and best >= max(score for _, score, _ in alive):
+            alive = []
+        if greedy_live and best > greedy_score:
+            greedy_live, greedy_score = False, -np.inf
+        if not alive and not greedy_live:
+            break
+    candidates = finished + [(greedy_score, tuple(greedy))] * (not greedy_live)
+    if candidates:
+        return list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
+    if alive:
+        return list(min(alive, key=lambda a: (-a[1], a[0]))[0]), False
+    return greedy, False
+
+
+def ragged_sources(vocab, corpus, snip, count):
+    sources = [decode_mod.encode(e, vocab)[0] for e in examples_for_corpus(corpus, snip)]
+    sources = [sources[i] for i in np.random.default_rng(0).permutation(len(sources))]
+    return sources[:count]
+
+
+def test_batched_search_equals_one_source_search():
+    from modelgen import warm_model
+    random_1 = setup_model(seed=1)
+    random_2 = setup_model(seed=2)
+    random_2 = (init_model(replace(random_2[0].config, layers=2)),) + random_2[1:]
+    warm = warm_model(seed=0)[:4]
+    checked = 0
+    for model, vocab, corpus, snip in (random_1, random_2, warm):
+        sources = ragged_sources(vocab, corpus, snip, 7)
+        assert len({len(s) for s in sources}) > 1
+        for beam_size in (0, 2, 3, 5):
+            for max_length in (None, 3, 9):
+                cfg = DecodeConfig(max_length=max_length)
+                batched = decode_mod._search(model, sources, cfg, beam_size)
+                assert batched == [one_source_search(model, s, cfg, beam_size)
+                                   for s in sources]
+                assert batched == [decode_mod._search(model, [s], cfg, beam_size)[0]
+                                   for s in sources]
+                checked += len(sources)
+    assert checked == 3 * 4 * 3 * 7
+
+
+def test_batched_search_and_chunks_leave_outputs_alone(monkeypatch):
+    model, vocab, corpus, snip = setup_model(n_sentences=12)
+    assert corpus.token_count() > decode_mod.CHUNK_SOURCES
+    sources = ragged_sources(vocab, corpus, snip, decode_mod.CHUNK_SOURCES + 9)
+    cfg = DecodeConfig(beam_size=2, max_length=9)
+    assert decode_mod._search(model, sources, cfg, 0) == \
+        [one_source_search(model, s, cfg, 0) for s in sources]
+    outputs = []
+    for chunk in (1, 5, decode_mod.CHUNK_SOURCES):
+        monkeypatch.setattr(decode_mod, "CHUNK_SOURCES", chunk)
+        outputs.append(predict_corpus(model, corpus, vocab, snip, cfg, voting=True))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_batched_beam_score_ties_go_to_smallest_ids(monkeypatch):
+    model, vocab, corpus, snip = setup_model()
+    sources = ragged_sources(vocab, corpus, snip, 3)
+    monkeypatch.setattr(decode_mod, "decode_step", tied_decode_step)
+    for beam_size in (2, 3, 5):
+        assert decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size),
+                                  beam_size) == [([5, 9], True)] * 3
+
+
+def test_batched_search_encodes_each_chunk_once(monkeypatch):
+    model, vocab, corpus, snip = setup_model()
+    sources = ragged_sources(vocab, corpus, snip, 6)
+    cfg = DecodeConfig(max_length=None)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decode_mod, "encode_source",
+                        counted("encode_source", decode_mod.encode_source))
+    monkeypatch.setattr(decode_mod, "forward_loss",
+                        counted("forward_loss", decode_mod.forward_loss))
+    monkeypatch.setattr(decode_mod, "decode_step",
+                        counted("decode_step", decode_mod.decode_step))
+    steps = []
+    for src in sources:
+        calls.clear()
+        decode_mod._search(model, [src], cfg, 3)
+        steps.append(calls["decode_step"])
+    assert len(set(steps)) > 1  # the sources need different numbers of steps
+    calls.clear()
+    decode_mod._search(model, sources, cfg, 3)
+    names = ("encode_source", "forward_loss", "decode_step")
+    assert [calls[name] for name in names] == [1, 0, max(steps)]
+
+
 def test_score_sequence_matches_stepwise_sum():
     model, vocab, corpus, snip = setup_model()
     src, _ = decode_mod.encode(examples_for_corpus(corpus, snip)[0], vocab)
@@ -282,7 +423,7 @@ def test_score_sequence_matches_stepwise_sum():
     prev = START_ID
     for tid in target + [3]:
         logits, state = decode_step(model, np.array([prev]), state,
-                                    enc[0], batch.src_mask[0])
+                                    enc, batch.src_mask)
         row = logits[0]
         logp = row - row.max() - np.log(np.exp(row - row.max()).sum())
         total += logp[tid]
@@ -352,10 +493,10 @@ def test_predict_sentence_flags_malformed_units(monkeypatch):
     gs = vocab_grammeme(vocab)
     crafted = fixed_ids(vocab, [gs, WORD_BOUNDARY] * (2 * snip.window + 1))
 
-    def fake(model_, src, cfg):
-        return list(crafted), True
+    def fake(model_, sources, cfg, beam_size):
+        return [(list(crafted), True) for _ in sources]
 
-    monkeypatch.setattr(decode_mod, "greedy_ids", fake)
+    monkeypatch.setattr(decode_mod, "_search", fake)
     for voting in (False, True):
         analyses, flags = predict_sentence(model, sent, vocab, snip,
                                            DecodeConfig(beam_size=1), voting=voting)
@@ -370,10 +511,10 @@ def test_predict_sentence_short_snippets_fall_back(monkeypatch):
     ch = vocab_letter(vocab)
     one_unit = fixed_ids(vocab, [ch, WORD_BOUNDARY])
 
-    def fake(model_, src, cfg):
-        return list(one_unit), True
+    def fake(model_, sources, cfg, beam_size):
+        return [(list(one_unit), True) for _ in sources]
 
-    monkeypatch.setattr(decode_mod, "greedy_ids", fake)
+    monkeypatch.setattr(decode_mod, "_search", fake)
     analyses, flags = predict_sentence(model, sent, vocab, snip,
                                        DecodeConfig(beam_size=1))
     assert analyses[0] == analysis(ch)
@@ -388,10 +529,10 @@ def test_predict_sentence_voting_prefers_agreement(monkeypatch):
     ch = vocab_letter(vocab)
     agreed = [ch, WORD_BOUNDARY] * 3
 
-    def fake(model_, src, cfg):
-        return fixed_ids(vocab, agreed), True
+    def fake(model_, sources, cfg, beam_size):
+        return [(fixed_ids(vocab, agreed), True) for _ in sources]
 
-    monkeypatch.setattr(decode_mod, "greedy_ids", fake)
+    monkeypatch.setattr(decode_mod, "_search", fake)
     analyses, flags = predict_sentence(model, sent, vocab, snip,
                                        DecodeConfig(beam_size=1), voting=True)
     assert all(a == analysis(ch) for a in analyses)
@@ -409,3 +550,17 @@ def test_predict_corpus_shapes_and_surfaces():
         assert [t.surface for t in got.tokens] == [t.surface for t in want.tokens]
         assert all(t.gold is not None for t in got.tokens)
         assert len(sent_flags) == len(want)
+
+
+def test_predict_corpus_empty_corpus(monkeypatch):
+    model, vocab, _, snip = setup_model()
+
+    def no_batch(pairs):
+        raise AssertionError("make_batch called for an empty corpus")
+
+    monkeypatch.setattr(decode_mod, "make_batch", no_batch)
+    for mode_cfg, voting in ((snip, False), (snip, True),
+                             (SnippetConfig(mode="full_sequence"), False)):
+        predicted, flags = predict_corpus(model, Corpus(()), vocab, mode_cfg,
+                                          DecodeConfig(beam_size=3), voting)
+        assert predicted.sentences == () and flags == []
