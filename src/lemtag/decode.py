@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,8 +21,9 @@ from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 from .model import (Model, _log_softmax, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
-                       GRAMMEME_PREFIX, SnippetConfig, Vocab, encode,
-                       examples_for_corpus, is_grammeme_symbol)
+                       GRAMMEME_PREFIX, SnippetConfig, Vocab, check_integer,
+                       encode, examples_for_corpus, is_grammeme_symbol,
+                       window_span)
 
 FLAG_TRUNCATED = "truncated"
 FLAG_MALFORMED = "malformed"
@@ -42,12 +42,9 @@ class DecodeConfig:
     max_length: int | None = None
 
     def __post_init__(self):
-        sizes = [("beam_size", self.beam_size)]
+        check_integer("beam_size", self.beam_size, 1)
         if self.max_length is not None:
-            sizes.append(("max_length", self.max_length))
-        for name, value in sizes:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            check_integer("max_length", self.max_length, 1)
 
     def length_limit(self, source_length: int) -> int:
         if self.max_length is not None:
@@ -284,15 +281,17 @@ def build_ballots(sentence_length: int, window: int, decoded_units):
 
     ``decoded_units`` holds, per snippet (one per focal token), its list of
     decoded units.  Token i is covered by snippet j when |i - j| <= window; the
-    unit ordinal inside snippet j is i - max(0, j - window).  A snippet too
-    short to supply the unit contributes None at that slot.  Each ballot
-    entry is (unit-or-None, focal distance, snippet index).
+    unit ordinal inside snippet j is i minus the first token of j's window
+    (``window_span``).  A snippet too short to supply the unit contributes
+    None at that slot.  Each ballot entry is (unit-or-None, focal distance,
+    snippet index).
     """
     ballots = []
     for i in range(sentence_length):
         entries = []
-        for j in range(max(0, i - window), min(sentence_length - 1, i + window) + 1):
-            ordinal = i - max(0, j - window)
+        first, last = window_span(sentence_length, i, window)
+        for j in range(first, last + 1):
+            ordinal = i - window_span(sentence_length, j, window)[0]
             units = decoded_units[j]
             got = units[ordinal] if ordinal < len(units) else None
             entries.append((got, abs(i - j), j))
@@ -336,22 +335,16 @@ def _sentence_analyses(sentence, decoded, snippet_cfg, voting):
     """Analyses and flags of one sentence from its examples' decodes,
     each (units, malformed flags, finished flag)."""
     length = len(sentence)
-    flags = [set() for _ in range(length)]
-
     if snippet_cfg.mode == "full_sequence":
-        (units, malformed, finished), = decoded
-        analyses, mismatch = align_full_sequence(units, sentence)
-        for i in range(length):
-            if not finished:
-                flags[i].add(FLAG_TRUNCATED)
-            if mismatch:
-                flags[i].add(FLAG_MISMATCH)
-            if i < len(malformed) and malformed[i]:
-                flags[i].add(FLAG_MALFORMED)
-        return analyses, _render_flags(flags)
-
-    ballots = build_ballots(length, snippet_cfg.window,
-                            [list(zip(units, malformed)) for units, malformed, _ in decoded])
+        # one ballot entry per token: its aligned unit or the surface fallback
+        (units, malformed, _), = decoded
+        aligned, mismatch = align_full_sequence(units, sentence)
+        ballots = [[(unit, 0, 0)] for unit in zip(aligned, malformed + [False] * length)]
+    else:
+        mismatch = False
+        ballots = build_ballots(length, snippet_cfg.window,
+                                [list(zip(units, malformed)) for units, malformed, _ in decoded])
+    flags = [{FLAG_MISMATCH} if mismatch else set() for _ in range(length)]
     analyses: list[Analysis] = []
     for i, ballot in enumerate(ballots):
         if not voting:

@@ -16,14 +16,13 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
-import numbers
 import struct
 import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .snippets import PAD_ID, Vocab
+from .snippets import PAD_ID, Vocab, check_integer
 
 CHECKPOINT_MAGIC = b"LMTG"
 CHECKPOINT_VERSION = 1
@@ -47,9 +46,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("source_vocab_size", "target_vocab_size", "embedding_size",
                      "hidden_units", "layers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+            check_integer(name, getattr(self, name), 1)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.attention != "general":
@@ -121,17 +118,16 @@ def zero_gradients(model: Model) -> Gradients:
 
 @dataclass
 class Batch:
-    """Padded id matrices with lengths and masks.
+    """Padded id matrices with masks.
 
     ``src`` is (B, S) and ``tgt`` (B, T) with targets already framed by the
-    start/end ids; ``loss_mask`` is (B, T-1) and zero exactly on padding.
+    start/end ids; ``src_mask`` is (B, S) and ``loss_mask`` (B, T-1), zero
+    exactly on padding.
     """
 
     src: np.ndarray
-    src_lengths: np.ndarray
     src_mask: np.ndarray
     tgt: np.ndarray | None = None
-    tgt_lengths: np.ndarray | None = None
     loss_mask: np.ndarray | None = None
 
     @property
@@ -139,29 +135,28 @@ class Batch:
         return self.src.shape[0]
 
 
+def _pad(seqs):
+    """(B, longest) id matrix padded with PAD_ID, and its 0/1 float mask."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    ids = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, :len(s)] = s
+    return ids, (np.arange(ids.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
+
+
 def make_batch(pairs) -> Batch:
     """Pad a list of (source ids, optional framed target ids) into a Batch."""
     if not pairs:
         raise ValueError("empty batch")
-    srcs = [p[0] for p in pairs]
+    src, src_mask = _pad([p[0] for p in pairs])
     tgts = [p[1] for p in pairs]
-    s_max = max(len(s) for s in srcs)
-    src = np.full((len(pairs), s_max), PAD_ID, dtype=np.int64)
-    src_lengths = np.array([len(s) for s in srcs], dtype=np.int64)
-    for i, s in enumerate(srcs):
-        src[i, : len(s)] = s
-    src_mask = (np.arange(s_max)[None, :] < src_lengths[:, None]).astype(np.float64)
     if all(t is None for t in tgts):
-        return Batch(src, src_lengths, src_mask)
+        return Batch(src, src_mask)
     if any(t is None for t in tgts):
         raise ValueError("mixed batch: some examples lack targets")
-    t_max = max(len(t) for t in tgts)
-    tgt = np.full((len(pairs), t_max), PAD_ID, dtype=np.int64)
-    tgt_lengths = np.array([len(t) for t in tgts], dtype=np.int64)
-    for i, t in enumerate(tgts):
-        tgt[i, : len(t)] = t
-    loss_mask = (np.arange(t_max - 1)[None, :] < tgt_lengths[:, None] - 1).astype(np.float64)
-    return Batch(src, src_lengths, src_mask, tgt, tgt_lengths, loss_mask)
+    tgt, tgt_mask = _pad(tgts)
+    # position k predicts tgt[:, k + 1], so the loss mask is the target mask shifted by one
+    return Batch(src, src_mask, tgt, tgt_mask[:, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ A sequence is a list of atomic symbols: single characters, ``+``-prefixed
 grammeme labels, or multi-character control symbols.  Words on the source
 side and analyses on the target side are each terminated by the word
 boundary symbol.  Two operating modes exist: one sequence pair per
-sentence (full_sequence), or one pair per focal token covering ``W`` words
-of context to each side (context_window).
+sentence (full_sequence, the window that spans the whole sentence), or one
+pair per focal token covering ``W`` words of context to each side
+(context_window).
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,6 +31,13 @@ GRAMMEME_PREFIX = "+"
 
 TC_MODES = ("none", "lemmata", "tags", "both", "surface")
 MODES = ("full_sequence", "context_window")
+
+
+def check_integer(name: str, value, minimum: int):
+    """Reject a config value that is not an integer (bools included) or is
+    below ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 def grammeme_symbol(grammeme: str) -> str:
@@ -59,8 +68,7 @@ class SnippetConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.tc_mode not in TC_MODES:
             raise ValueError(f"unknown target-context mode {self.tc_mode!r}")
-        if self.window < 0:
-            raise ValueError("window must be non-negative")
+        check_integer("window", self.window, 0)
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,6 @@ class SnippetExample:
     focal_index: int | None = None
     focal_span: tuple[int, int] | None = None
     sentence_id: int = 0
-    token_count: int = 0
 
 
 def tokenize_surface(token: Token) -> list[str]:
@@ -95,7 +102,10 @@ def tokenize_analysis(analysis: Analysis) -> list[str]:
 
 
 def _context_unit(token: Token, tc_mode: str) -> list[str]:
-    """Target-side rendering of a non-focal token, boundary-terminated."""
+    """Target-side rendering of a non-focal token, boundary-terminated
+    unless tc_mode is "none", which renders nothing."""
+    if tc_mode == "none":
+        return []
     if tc_mode == "both":
         return tokenize_analysis(token.gold)
     if tc_mode == "lemmata":
@@ -107,25 +117,43 @@ def _context_unit(token: Token, tc_mode: str) -> list[str]:
     raise ValueError(f"unknown target-context mode {tc_mode!r}")
 
 
+def window_span(length: int, focal: int, window: int) -> tuple[int, int]:
+    """First and last token of the window around ``focal``, clipped at the
+    sentence edges: the tokens j with |j - focal| <= window."""
+    return max(0, focal - window), min(length - 1, focal + window)
+
+
+def _examples(sentence: Sentence, spans, tc_mode: str,
+              sentence_id: int) -> list[SnippetExample]:
+    """One example per (first, last, focal) span, over tokens
+    ``first..last``: the focal token's target is its analysis, every other
+    token's is rendered by ``tc_mode``.  Targets are present only when the
+    whole sentence has gold analyses, checked once for all spans."""
+    tokens = sentence.tokens
+    have_gold = all(tok.gold is not None for tok in tokens)
+    examples = []
+    for first, last, focal in spans:
+        source = [sym for tok in tokens[first:last + 1] for sym in tokenize_surface(tok)]
+        target = span = None
+        if have_gold:
+            target = []
+            for j in range(first, last + 1):
+                if j == focal:
+                    unit = tokenize_analysis(tokens[j].gold)
+                    span = (len(target), len(target) + len(unit))
+                else:
+                    unit = _context_unit(tokens[j], tc_mode)
+                target.extend(unit)
+            target = tuple(target)
+        examples.append(SnippetExample(tuple(source), target, focal, span, sentence_id))
+    return examples
+
+
 def build_full_sequence_example(
     sentence: Sentence, sentence_id: int = 0
 ) -> SnippetExample:
     """One example covering the whole sentence; target only when gold is present."""
-    source: list[str] = []
-    for tok in sentence.tokens:
-        source.extend(tokenize_surface(tok))
-    target = None
-    if all(tok.gold is not None for tok in sentence.tokens):
-        target_syms: list[str] = []
-        for tok in sentence.tokens:
-            target_syms.extend(tokenize_analysis(tok.gold))
-        target = tuple(target_syms)
-    return SnippetExample(
-        source=tuple(source),
-        target=target,
-        sentence_id=sentence_id,
-        token_count=len(sentence),
-    )
+    return _examples(sentence, [(0, len(sentence) - 1, None)], "both", sentence_id)[0]
 
 
 def build_window_examples(
@@ -134,43 +162,8 @@ def build_window_examples(
     """One example per focal token; the window is clipped at sentence edges."""
     if cfg.mode != "context_window":
         raise ValueError("build_window_examples requires context_window mode")
-    length = len(sentence)
-    have_gold = all(tok.gold is not None for tok in sentence.tokens)
-    examples = []
-    for focal in range(length):
-        lo = max(0, focal - cfg.window)
-        hi = min(length - 1, focal + cfg.window)
-        source: list[str] = []
-        for j in range(lo, hi + 1):
-            source.extend(tokenize_surface(sentence.tokens[j]))
-        target = None
-        span = None
-        if have_gold:
-            target_syms: list[str] = []
-            span_start = span_end = 0
-            for j in range(lo, hi + 1):
-                if j == focal:
-                    unit = tokenize_analysis(sentence.tokens[j].gold)
-                    span_start = len(target_syms)
-                    span_end = span_start + len(unit)
-                elif cfg.tc_mode == "none":
-                    continue
-                else:
-                    unit = _context_unit(sentence.tokens[j], cfg.tc_mode)
-                target_syms.extend(unit)
-            target = tuple(target_syms)
-            span = (span_start, span_end)
-        examples.append(
-            SnippetExample(
-                source=tuple(source),
-                target=target,
-                focal_index=focal,
-                focal_span=span,
-                sentence_id=sentence_id,
-                token_count=length,
-            )
-        )
-    return examples
+    return _examples(sentence, [(*window_span(len(sentence), focal, cfg.window), focal)
+                                for focal in range(len(sentence))], cfg.tc_mode, sentence_id)
 
 
 def examples_for_corpus(corpus: Corpus, cfg: SnippetConfig) -> list[SnippetExample]:

@@ -13,7 +13,7 @@ from .conllu import Corpus
 from .decode import DecodeConfig, predict_corpus
 from .metrics import evaluate
 from .model import Model, backward, load_model, make_batch, save_model, sgd_update
-from .snippets import SnippetConfig, Vocab, encode
+from .snippets import SnippetConfig, Vocab, check_integer, encode
 
 SELECTION_METRICS = ("analysis_accuracy", "lemma_accuracy", "tag_accuracy")
 _DROPOUT_SALT = 0xD0D0
@@ -38,24 +38,18 @@ class TrainConfig:
     retain_all: bool = False
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        for name, minimum in (("total_steps", 1), ("checkpoint_every", 1),
+                              ("lr_halve_start_step", 0), ("lr_halve_every", 1),
+                              ("batch_size", 1), ("rng_seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
         if self.total_steps % self.checkpoint_every != 0:
             raise ValueError("checkpoint_every must divide total_steps")
         if self.lr_initial <= 0:
             raise ValueError("lr_initial must be positive")
-        if self.lr_halve_start_step < 0 or self.lr_halve_every < 1:
-            raise ValueError("invalid learning-rate schedule")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive or None")
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True, eq=True)

@@ -539,6 +539,67 @@ def test_predict_sentence_voting_prefers_agreement(monkeypatch):
     assert all(f == "" for f in flags)
 
 
+def full_sequence_flags(monkeypatch, symbols, finished=True):
+    """predict_sentence in full-sequence mode on a faked decode of ``symbols``."""
+    model, vocab, corpus, _ = setup_model()
+    sent = corpus.sentences[0]
+
+    def fake(model_, sources, cfg, beam_size):
+        return [(fixed_ids(vocab, symbols), finished) for _ in sources]
+
+    monkeypatch.setattr(decode_mod, "_search", fake)
+    return sent, predict_sentence(model, sent, vocab, SnippetConfig(mode="full_sequence"),
+                                  DecodeConfig(beam_size=1))
+
+
+def vocab_letters(vocab, count):
+    return [s for s in vocab.target_symbols[5:] if len(s) == 1][:count]
+
+
+def test_predict_sentence_full_sequence_extra_units_are_dropped(monkeypatch):
+    vocab = setup_model()[1]
+    letters = vocab_letters(vocab, 7)
+    units = [sym for ch in letters for sym in (ch, WORD_BOUNDARY)]
+    sent, (analyses, flags) = full_sequence_flags(monkeypatch, units)
+    assert len(sent) < len(letters)
+    assert analyses == [analysis(ch) for ch in letters[:len(sent)]]
+    assert flags == ["mismatch"] * len(sent)
+
+
+def test_predict_sentence_full_sequence_missing_units_fall_back(monkeypatch):
+    model, vocab, corpus, _ = setup_model()
+    n = len(corpus.sentences[0])
+    letters = vocab_letters(vocab, n - 1)
+    units = [sym for ch in letters for sym in (ch, WORD_BOUNDARY)]
+    sent, (analyses, flags) = full_sequence_flags(monkeypatch, units)
+    assert analyses[:-1] == [analysis(ch) for ch in letters]
+    assert analyses[-1] == Analysis(sent.tokens[-1].surface, EMPTY_TAG)
+    assert flags == ["mismatch"] * n
+
+
+def test_predict_sentence_full_sequence_flags_one_malformed_unit(monkeypatch):
+    model, vocab, corpus, _ = setup_model()
+    n = len(corpus.sentences[0])
+    ch, gs = vocab_letter(vocab), vocab_grammeme(vocab)
+    k = 1
+    units = []
+    for i in range(n):
+        units += [gs, WORD_BOUNDARY] if i == k else [ch, WORD_BOUNDARY]
+    _, (analyses, flags) = full_sequence_flags(monkeypatch, units)
+    assert analyses[k] == analysis("", gs[1:])
+    assert flags == ["malformed" if i == k else "" for i in range(n)]
+
+
+def test_predict_sentence_full_sequence_unfinished_is_truncated(monkeypatch):
+    model, vocab, corpus, _ = setup_model()
+    n = len(corpus.sentences[0])
+    ch = vocab_letter(vocab)
+    _, (analyses, flags) = full_sequence_flags(monkeypatch, [ch, WORD_BOUNDARY] * n,
+                                               finished=False)
+    assert analyses == [analysis(ch)] * n
+    assert flags == ["truncated"] * n
+
+
 def test_predict_corpus_shapes_and_surfaces():
     model, vocab, corpus, snip = setup_model(n_sentences=3)
     zeroed(model)

@@ -1,16 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from corpusgen import make_corpus
 from lemtag.conllu import Analysis, Corpus, MorphoTag, Sentence, Token, parse_corpus
 from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
-                             START_ID, UNK_ID, SEQUENCE_END, SEQUENCE_START,
-                             UNKNOWN, WORD_BOUNDARY, SnippetConfig,
+                             START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
+                             SEQUENCE_START, UNKNOWN, WORD_BOUNDARY, SnippetConfig,
                              Vocab, build_full_sequence_example, build_vocab,
                              build_window_examples, encode,
                              examples_for_corpus, format_example,
                              grammeme_symbol, is_grammeme_symbol,
-                             tokenize_analysis, tokenize_surface)
+                             tokenize_analysis, tokenize_surface, window_span)
 
 
 def _sentence():
@@ -121,6 +123,10 @@ def test_snippet_config_validation():
         SnippetConfig(window=-1)
     with pytest.raises(ValueError):
         SnippetConfig(tc_mode="everything")
+    for window in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SnippetConfig(window=window)
+    assert SnippetConfig(window=np.int64(2)).window == 2
 
 
 def test_examples_for_corpus_modes():
@@ -218,3 +224,37 @@ def test_window_examples_random_lengths_emit_one_per_token():
             lo = max(0, i - window)
             hi = min(length - 1, i + window)
             assert ex.source.count(WORD_BOUNDARY) == hi - lo + 1
+
+
+def test_examples_for_corpus_golden_digest():
+    # every mode's training and prediction inputs, pinned byte for byte
+    corpus = make_corpus(8, seed=3)
+    surface_only = Corpus(tuple(Sentence(tuple(Token(t.surface) for t in s.tokens))
+                                for s in corpus))
+    configs = [SnippetConfig(mode="full_sequence")]
+    configs += [SnippetConfig(mode="context_window", window=w, tc_mode=tc)
+                for w in (0, 1, 2) for tc in TC_MODES]
+    digest = hashlib.sha256()
+    count = 0
+    for source in (corpus, surface_only):
+        for cfg in configs:
+            for e in examples_for_corpus(source, cfg):
+                digest.update((format_example(e) + "\n").encode("utf-8"))
+                digest.update(repr((e.focal_index, e.focal_span, e.sentence_id)).encode("utf-8"))
+                count += 1
+    assert count == 916
+    assert digest.hexdigest()[:16] == "712ae6b0d2895978"
+
+
+def test_window_span_matches_covering_formula():
+    assert window_span(5, 0, 1) == (0, 1)  # clipped on the left
+    assert window_span(5, 4, 1) == (3, 4)  # clipped on the right
+    assert window_span(5, 2, 1) == (1, 3)
+    assert window_span(5, 3, 0) == (3, 3)
+    assert window_span(3, 1, 7) == (0, 2)  # a window wider than the sentence
+    for length in range(1, 8):
+        for window in range(0, length + 2):
+            for focal in range(length):
+                first, last = window_span(length, focal, window)
+                covered = [j for j in range(length) if abs(j - focal) <= window]
+                assert list(range(first, last + 1)) == covered

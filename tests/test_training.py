@@ -65,6 +65,12 @@ def test_train_config_validation():
         TrainConfig(clip_norm=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_initial=0.0)
+    for sizes in ({"batch_size": 2.5}, {"checkpoint_every": 2.0}, {"rng_seed": 1.5},
+                  {"total_steps": 10.0, "checkpoint_every": 5},
+                  {"lr_halve_start_step": 0.5}, {"lr_halve_every": 1.5},
+                  {"batch_size": True}, {"lr_halve_start_step": -1}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TrainConfig(**sizes)
 
 
 def test_checkpoint_path_format(tmp_path):
