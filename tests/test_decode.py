@@ -567,7 +567,7 @@ def test_predict_sentence_full_sequence_extra_units_are_dropped(monkeypatch):
 
 
 def test_predict_sentence_full_sequence_missing_units_fall_back(monkeypatch):
-    model, vocab, corpus, _ = setup_model()
+    _, vocab, corpus, _ = setup_model()
     n = len(corpus.sentences[0])
     letters = vocab_letters(vocab, n - 1)
     units = [sym for ch in letters for sym in (ch, WORD_BOUNDARY)]
@@ -578,7 +578,7 @@ def test_predict_sentence_full_sequence_missing_units_fall_back(monkeypatch):
 
 
 def test_predict_sentence_full_sequence_flags_one_malformed_unit(monkeypatch):
-    model, vocab, corpus, _ = setup_model()
+    _, vocab, corpus, _ = setup_model()
     n = len(corpus.sentences[0])
     ch, gs = vocab_letter(vocab), vocab_grammeme(vocab)
     k = 1
@@ -591,7 +591,7 @@ def test_predict_sentence_full_sequence_flags_one_malformed_unit(monkeypatch):
 
 
 def test_predict_sentence_full_sequence_unfinished_is_truncated(monkeypatch):
-    model, vocab, corpus, _ = setup_model()
+    _, vocab, corpus, _ = setup_model()
     n = len(corpus.sentences[0])
     ch = vocab_letter(vocab)
     _, (analyses, flags) = full_sequence_flags(monkeypatch, [ch, WORD_BOUNDARY] * n,
