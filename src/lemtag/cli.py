@@ -12,6 +12,7 @@ import inspect
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
                      write_corpus)
@@ -193,10 +194,7 @@ def run_train(args):
     payload = {
         "selection_metric": report.selection_metric,
         "selected_step": report.selected_step,
-        "checkpoints": [
-            {"step": r.step, "train_loss": r.train_loss, "dev_metrics": r.dev_metrics}
-            for r in report.checkpoints
-        ],
+        "checkpoints": [asdict(r) for r in report.checkpoints],
     }
     _write_text(report_path, json.dumps(payload, indent=2) + "\n")
     best = next(r for r in report.checkpoints if r.step == report.selected_step)

@@ -47,6 +47,7 @@ class ModelConfig:
         for name in ("source_vocab_size", "target_vocab_size", "embedding_size",
                      "hidden_units", "layers"):
             check_integer(name, getattr(self, name), 1)
+        check_integer("rng_seed", self.rng_seed, 0)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.attention != "general":
@@ -96,9 +97,6 @@ class Model:
         return Model(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
-Gradients = dict  # name -> array, mirroring Model.params
-
-
 def init_model(cfg: ModelConfig) -> Model:
     """Uniform [-0.1, 0.1] init from cfg.rng_seed; LSTM forget biases set to 1."""
     rng = np.random.default_rng(cfg.rng_seed)
@@ -110,10 +108,6 @@ def init_model(cfg: ModelConfig) -> Model:
         if name.endswith("_b") and name != "out_b":
             params[name][h:2 * h] = 1.0
     return Model(cfg, params)
-
-
-def zero_gradients(model: Model) -> Gradients:
-    return {k: np.zeros_like(v) for k, v in model.params.items()}
 
 
 @dataclass
@@ -345,9 +339,10 @@ def _forward(model, batch, train, rng):
     return loss, cache
 
 
-def forward_loss(model, batch, train_mode=False, rng=None) -> float:
-    """Mean masked token cross-entropy (nats) under teacher forcing."""
-    loss, _ = _forward(model, batch, train_mode, rng)
+def forward_loss(model, batch) -> float:
+    """Mean masked token cross-entropy (nats) under teacher forcing, for
+    inference only: no dropout is applied (``backward`` trains)."""
+    loss, _ = _forward(model, batch, False, None)
     return loss
 
 
@@ -420,7 +415,7 @@ def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
 
     ``d_outputs`` is the gradient w.r.t. the top layer's outputs and
     ``d_finals`` the gradient w.r.t. each layer's final (h, c), if any flows
-    into them.  Accumulates the weight gradients into ``grads``; returns
+    into them.  Sets each direction's weight gradients in ``grads``; returns
     the gradient w.r.t. the stack's inputs and, per layer and direction,
     the gradient w.r.t. the initial (h, c).
     """
@@ -435,9 +430,7 @@ def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
             dh, dc = (d[:, part] for d in d_finals[layer]) if d_finals else (0.0, 0.0)
             d_in, dWx, dWh, db, dh0, dc0 = _lstm_backward(
                 p[f"{name}_Wx"], p[f"{name}_Wh"], d_outputs[:, :, part], trace, dh, dc)
-            grads[f"{name}_Wx"] += dWx
-            grads[f"{name}_Wh"] += dWh
-            grads[f"{name}_b"] += db
+            grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = dWx, dWh, db
             d_inputs.append(d_in)
             d_init[layer].append((dh0, dc0))
         d_outputs = sum(d_inputs[1:], d_inputs[0])
@@ -447,7 +440,8 @@ def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
 
 
 def backward(model, batch, rng=None):
-    """Loss and exact gradients for every parameter tensor.
+    """Loss and exact gradients for every parameter tensor, as a dict in
+    ``model.params`` order.
 
     Dropout masks are drawn once from ``rng`` and the gradients are exact
     for that realization.
@@ -455,7 +449,7 @@ def backward(model, batch, rng=None):
     cfg = model.config
     p = model.params
     loss, cache = _forward(model, batch, True, rng)
-    grads = zero_gradients(model)
+    grads = {}
 
     # cross-entropy -> logits
     d_logits = _softmax(cache["logits"])
@@ -466,13 +460,13 @@ def backward(model, batch, rng=None):
     tilde_d = cache["tilde_d"]
     hid = cfg.hidden_units
     flat = lambda a: a.reshape(-1, a.shape[-1])
-    grads["out_W"] += flat(tilde_d).T @ flat(d_logits)
-    grads["out_b"] += d_logits.sum(axis=(0, 1))
+    grads["out_W"] = flat(tilde_d).T @ flat(d_logits)
+    grads["out_b"] = d_logits.sum(axis=(0, 1))
     d_tilde = d_logits @ p["out_W"].T
     if cache["out_drop"] is not None:
         d_tilde = d_tilde * cache["out_drop"]
     d_pre = d_tilde * (1.0 - cache["tilde"] ** 2)
-    grads["combo_W"] += flat(cache["combined"]).T @ flat(d_pre)
+    grads["combo_W"] = flat(cache["combined"]).T @ flat(d_pre)
     d_combined = d_pre @ p["combo_W"].T
     d_context = d_combined[:, :, :2 * hid]
     d_dec_out = d_combined[:, :, 2 * hid:].copy()
@@ -485,28 +479,31 @@ def backward(model, batch, rng=None):
     d_scores = weights * (d_weights - (d_weights * weights).sum(axis=2, keepdims=True))
     d_proj = np.einsum("bts,bsk->btk", d_scores, enc_states)
     d_enc += np.einsum("bts,btk->bsk", d_scores, cache["proj"])
-    grads["attn_W"] += flat(cache["dec_out"]).T @ flat(d_proj)
+    grads["attn_W"] = flat(cache["dec_out"]).T @ flat(d_proj)
     d_dec_out += d_proj @ p["attn_W"].T
 
     # decoder stack, bridge, encoder stack
     d_tgt, d_init = _stack_backward(model, grads, cache["dec_caches"], d_dec_out)
+    # embedding rows repeat within a batch, so these two scatter-add into zeros
+    grads["tgt_embed"] = np.zeros_like(p["tgt_embed"])
     np.add.at(grads["tgt_embed"], cache["tgt_in"], d_tgt)
     d_finals = []
     for layer, ((dh0, dc0),) in enumerate(d_init):
         eh, ec = cache["finals"][layer]
-        grads[f"bridge{layer}_h"] += eh.T @ dh0
-        grads[f"bridge{layer}_c"] += ec.T @ dc0
+        grads[f"bridge{layer}_h"] = eh.T @ dh0
+        grads[f"bridge{layer}_c"] = ec.T @ dc0
         d_finals.append((dh0 @ p[f"bridge{layer}_h"].T, dc0 @ p[f"bridge{layer}_c"].T))
     d_src, _ = _stack_backward(model, grads, cache["enc_caches"],
                                d_enc * batch.src_mask[:, :, None], d_finals)
+    grads["src_embed"] = np.zeros_like(p["src_embed"])
     np.add.at(grads["src_embed"], batch.src, d_src)
-
-    return loss, grads
+    # sgd_update sums the global norm in this order
+    return loss, {name: grads[name] for name in p}
 
 
 def sgd_update(model, grads, lr, clip_norm=None):
     """Clip gradients to a global norm, then take one SGD step in place."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("learning rate must be positive")
     sq = 0.0
     for g in grads.values():
@@ -518,9 +515,8 @@ def sgd_update(model, grads, lr, clip_norm=None):
     if clip_norm is not None and clip_norm > 0 and norm > clip_norm:
         scale = clip_norm / norm
     for name, param in model.params.items():
-        param -= lr * scale * grads[name]
         # stay on the float32 grid so checkpoints round-trip exactly
-        param[...] = _snap32(param)
+        param[...] = (param - lr * scale * grads[name]).astype(np.float32)
     return model
 
 

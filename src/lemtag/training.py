@@ -4,8 +4,9 @@ periodic checkpoints, and dev-set model selection.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,10 +45,10 @@ class TrainConfig:
             check_integer(name, getattr(self, name), minimum)
         if self.total_steps % self.checkpoint_every != 0:
             raise ValueError("checkpoint_every must divide total_steps")
-        if self.lr_initial <= 0:
-            raise ValueError("lr_initial must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+        if not 0 < self.lr_initial < np.inf:
+            raise ValueError("lr_initial must be positive and finite")
+        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
+            raise ValueError("clip_norm must be positive and finite, or None")
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 
@@ -106,22 +107,14 @@ def checkpoint_path(directory, step: int) -> str:
 def _dev_metrics(model, dev_corpus, vocab, snippet_cfg):
     predicted, _ = predict_corpus(
         model, dev_corpus, vocab, snippet_cfg, DecodeConfig(beam_size=1), voting=False)
-    scores = evaluate(predicted, dev_corpus).overall
-    return {
-        "lemma_accuracy": scores.lemma_accuracy,
-        "avg_lemma_distance": scores.avg_lemma_distance,
-        "tag_accuracy": scores.tag_accuracy,
-        "avg_tag_f1": scores.avg_tag_f1,
-        "analysis_accuracy": scores.analysis_accuracy,
-    }
+    scores = asdict(evaluate(predicted, dev_corpus).overall)
+    del scores["token_count"]
+    return scores
 
 
 def _select_best(records, metric):
-    best = records[0]
-    for rec in records[1:]:
-        if rec.dev_metrics[metric] > best.dev_metrics[metric]:
-            best = rec
-    return best.step
+    # max keeps the first of equal maxima: ties go to the earliest step
+    return max(records, key=lambda rec: rec.dev_metrics[metric]).step
 
 
 def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
@@ -150,19 +143,12 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
     dropout_rng = np.random.default_rng((cfg.rng_seed, _DROPOUT_SALT))
     records = []
     loss_sum = 0.0
-    loss_count = 0
-    epoch = 0
-    batches = iter(make_batches(encoded, cfg, epoch))
+    batches = itertools.chain.from_iterable(
+        make_batches(encoded, cfg, epoch) for epoch in itertools.count())
     with open(log_path, "w", encoding="utf-8") as log:
         log.write(f"training: steps={cfg.total_steps} batch={cfg.batch_size} "
                   f"examples={len(encoded)} seed={cfg.rng_seed}\n")
-        for step in range(cfg.total_steps):
-            try:
-                batch = next(batches)
-            except StopIteration:
-                epoch += 1
-                batches = iter(make_batches(encoded, cfg, epoch))
-                batch = next(batches)
+        for step, batch in zip(range(cfg.total_steps), batches):
             lr = lr_schedule(cfg, step)
             try:
                 loss, grads = backward(model, batch, rng=dropout_rng)
@@ -172,18 +158,16 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
             except ValueError as err:
                 raise TrainingDivergedError(f"step {step}: {err}") from err
             loss_sum += loss
-            loss_count += 1
             if (step + 1) % cfg.checkpoint_every == 0:
                 ckpt_step = step + 1
                 save_model(model, vocab, checkpoint_path(cfg.checkpoint_dir, ckpt_step))
                 metrics = _dev_metrics(model, dev_corpus, vocab, snippet_cfg)
-                record = CheckpointRecord(ckpt_step, loss_sum / loss_count, metrics)
+                record = CheckpointRecord(ckpt_step, loss_sum / cfg.checkpoint_every, metrics)
                 records.append(record)
                 shown = " ".join(f"{k}={v:.4f}" for k, v in metrics.items())
                 log.write(f"step {ckpt_step} lr {lr:g} loss {record.train_loss:.6f} {shown}\n")
                 log.flush()
                 loss_sum = 0.0
-                loss_count = 0
 
     selected = _select_best(records, cfg.selection_metric)
     best_model, _ = load_model(checkpoint_path(cfg.checkpoint_dir, selected),

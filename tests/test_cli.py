@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -168,8 +169,9 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     lambda config: dict(config, layers=1.0),
     lambda config: dict(config, hidden_units=64.0),
     lambda config: dict(config, embedding_size=True),
+    lambda config: dict(config, rng_seed=1.5),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
-        "float-hidden-units", "bool-embedding-size"])
+        "float-hidden-units", "bool-embedding-size", "float-rng-seed"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))
     model = init_model(ModelConfig(vocab.source_size, vocab.target_size,
@@ -211,6 +213,39 @@ def test_train_rejects_uneven_checkpoint_interval(capsys, tmp_path, gold_file):
                        "--steps", "5", "--checkpoint-every", "2")
     assert code == 1
     assert "divide" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--clip-norm", "nan"),
+])
+def test_train_rejects_non_finite_learning_settings(capsys, tmp_path, gold_file, flag, value):
+    code, _, err = run(capsys, "train", gold_file, gold_file,
+                       "--checkpoint-dir", str(tmp_path / "run"),
+                       "--steps", "2", "--checkpoint-every", "2",
+                       "--embedding-size", "8", "--hidden-units", "8",
+                       "--layers", "1", flag, value)
+    assert code == 1
+    assert "finite" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_outputs_match_golden_digests(capsys, tmp_path, gold_file):
+    # 6 steps over 4 batches an epoch: an epoch boundary, clipping, the
+    # halving schedule, dropout and a tie in the selection metric
+    run_dir = tmp_path / "run"
+    code, out, err = run(capsys, "train", gold_file, gold_file, "--checkpoint-dir", str(run_dir),
+                         "--steps", "6", "--checkpoint-every", "2", "--embedding-size", "8",
+                         "--hidden-units", "8", "--layers", "2", "--batch-size", "4",
+                         "--seed", "5", "--lr", "0.5", "--clip-norm", "1.0",
+                         "--lr-halve-start", "2", "--lr-halve-every", "2")
+    assert code == 0, err
+    assert out.startswith("selected step 2\n")
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in ("train_report.json", "training.log")}
+    assert digests == {
+        "train_report.json": "6ff1eb496422109bc85dc881cc18b340fac2c22f3926a75fcacbdc2b48dd62a2",
+        "training.log": "b6cf8a858b62a003c01c279be791314e12ee52e846fb6920e88fa3a3f4d87eff",
+    }
 
 
 def test_full_round_trip(tmp_path, capsys, gold_file):

@@ -5,7 +5,7 @@ from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, _lstm_back
                           _lstm_forward, _lstm_step, _sigmoid, attend, backward,
                           decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
-                          make_batch, save_model, sgd_update, zero_gradients)
+                          make_batch, save_model, sgd_update)
 from lemtag.snippets import CONTROL_SYMBOLS, PAD_ID, Vocab
 
 
@@ -32,6 +32,10 @@ def sample_batch(cfg, seed=0, rows=3):
     return make_batch(pairs)
 
 
+def zero_grads(m):
+    return {k: np.zeros_like(v) for k, v in m.params.items()}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(layers=0)
@@ -43,6 +47,9 @@ def test_config_validation():
         tiny_config(attention="dot")
     with pytest.raises(ValueError):
         tiny_config(layers=1.0)
+    for seed in (1.5, -1, True):
+        with pytest.raises(ValueError, match="rng_seed"):
+            tiny_config(rng_seed=seed)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -324,10 +331,10 @@ def test_dropout_needs_rng_and_changes_loss():
     m = init_model(cfg)
     batch = sample_batch(cfg)
     with pytest.raises(ValueError):
-        forward_loss(m, batch, train_mode=True)
+        backward(m, batch)
     rng = np.random.default_rng(0)
-    a = forward_loss(m, batch, train_mode=True, rng=rng)
-    b = forward_loss(m, batch, train_mode=True, rng=rng)
+    a, _ = backward(m, batch, rng=rng)
+    b, _ = backward(m, batch, rng=rng)
     assert a != b  # different masks drawn from the stream
     assert forward_loss(m, batch) == forward_loss(m, batch)
 
@@ -357,17 +364,29 @@ def test_duplicated_batch_keeps_mean_gradients():
         assert np.allclose(g1[name], g2[name], atol=1e-12)
 
 
+def test_backward_gradients_follow_parameter_order_in_fresh_arrays():
+    cfg = tiny_config(layers=2, dropout_p=0.3)
+    m = init_model(cfg)
+    _, grads = backward(m, sample_batch(cfg), rng=np.random.default_rng(0))
+    assert list(grads) == list(m.params)
+    for name, g in grads.items():
+        assert g.shape == m.params[name].shape, name
+    others = list(m.params.values()) + list(grads.values())
+    for name, g in grads.items():
+        assert sum(np.shares_memory(g, other) for other in others) == 1, name  # itself only
+
+
 def test_sgd_zero_gradients_identity():
     m = init_model(tiny_config())
     before = {k: v.copy() for k, v in m.params.items()}
-    sgd_update(m, zero_gradients(m), lr=1.0, clip_norm=5.0)
+    sgd_update(m, zero_grads(m), lr=1.0, clip_norm=5.0)
     for name in before:
         assert np.array_equal(before[name], m.params[name])
 
 
 def test_sgd_scalar_arithmetic():
     m = init_model(tiny_config())
-    grads = zero_gradients(m)
+    grads = zero_grads(m)
     m.params["out_b"][0] = 1.0
     grads["out_b"][0] = 0.2
     sgd_update(m, grads, lr=0.5, clip_norm=None)
@@ -376,7 +395,7 @@ def test_sgd_scalar_arithmetic():
 
 def test_sgd_clipping_rescales():
     m = init_model(tiny_config())
-    grads = zero_gradients(m)
+    grads = zero_grads(m)
     m.params["out_b"][0] = 0.0
     grads["out_b"][0] = 10.0  # global norm 10, clip 5 -> effective 5
     sgd_update(m, grads, lr=1.0, clip_norm=5.0)
@@ -385,10 +404,33 @@ def test_sgd_clipping_rescales():
 
 def test_sgd_rejects_non_finite():
     m = init_model(tiny_config())
-    grads = zero_gradients(m)
+    grads = zero_grads(m)
+    with pytest.raises(ValueError, match="learning rate"):
+        sgd_update(m, grads, lr=float("nan"))
     grads["out_b"][0] = np.nan
     with pytest.raises(ValueError):
         sgd_update(m, grads, lr=1.0, clip_norm=5.0)
+
+
+def test_clipped_sgd_matches_subtract_then_snap():
+    cfg = tiny_config(layers=2)
+    m = init_model(cfg)
+    ref = m.copy()
+    batch = sample_batch(cfg)
+    lr, clip_norm = 0.7, 0.05
+    for _ in range(3):
+        _, grads = backward(m, batch)
+        sq = 0.0
+        for g in grads.values():
+            sq += float((g * g).sum())
+        norm = float(np.sqrt(sq))
+        assert norm > clip_norm
+        for name, param in ref.params.items():
+            param -= lr * (clip_norm / norm) * grads[name]
+            param[...] = param.astype(np.float32).astype(np.float64)
+        sgd_update(m, grads, lr, clip_norm)
+        for name in m.params:
+            assert m.params[name].tobytes() == ref.params[name].tobytes(), name
 
 
 def test_weights_stay_on_float32_grid():

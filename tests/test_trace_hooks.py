@@ -13,8 +13,9 @@ import pytest
 from lemtag import decode
 from lemtag.conllu import Corpus, parse_corpus, write_corpus
 from lemtag.decode import DecodeConfig, predict_corpus
-from lemtag.model import load_model
-from lemtag.snippets import SnippetConfig
+from lemtag.model import ModelConfig, init_model, load_model
+from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
+from lemtag.training import TrainConfig, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,3 +80,22 @@ def test_traced_predict_corpus_records_encoder_and_decoder_spans():
     rows = [span[spantrace.COUNT] for span in tracer.spans
             if span[spantrace.NAME] == "model.decode_step"]
     assert min(rows) >= 1
+
+
+def test_training_losses_match_benchmark_digest(tmp_path):
+    """perfbench's train-h64 seed-1 run: E32/H64/L2, dropout 0.3, 24 steps of
+    batch 32 in 3 checkpoint intervals; its checkpoint losses pin the
+    gradients, the SGD step and the loop's batch order bit for bit."""
+    corpusgen = load_perfbench("corpusgen")
+    train_corpus = parse_corpus(corpusgen.to_text(corpusgen.make_sentences(22, 1, 0, n_tokens=256)))
+    dev = parse_corpus(corpusgen.to_text(corpusgen.make_sentences(1, 1, 1, n_tokens=6)))
+    snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
+    examples = examples_for_corpus(train_corpus, snip)
+    vocab = build_vocab(examples, min_freq=1)
+    model = init_model(ModelConfig(vocab.source_size, vocab.target_size, embedding_size=32,
+                                   hidden_units=64, layers=2, dropout_p=0.3, rng_seed=0))
+    cfg = TrainConfig(total_steps=24, checkpoint_every=8, batch_size=32, rng_seed=0,
+                      checkpoint_dir=str(tmp_path))
+    _, report = train(model, examples, dev, vocab, snip, cfg)
+    losses = " ".join(float(r.train_loss).hex() for r in report.checkpoints)
+    assert hashlib.sha256(losses.encode()).hexdigest().startswith("1be4a742279fe8b6")
