@@ -177,13 +177,11 @@ def run_train(args):
     s = _settings(args)
     snip_cfg = _config(SnippetConfig, s)
     train_cfg = _config(TrainConfig, s, checkpoint_dir=args.checkpoint_dir)
-    if s["min_freq"] < 1:
-        raise UsageError("min_freq must be >= 1")
 
     train_corpus = read_corpus_file(args.train_corpus, mode="gold")
     dev_corpus = read_corpus_file(args.dev_corpus, mode="gold")
     examples = examples_for_corpus(train_corpus, snip_cfg)
-    vocab = build_vocab(examples, min_freq=s["min_freq"])
+    vocab = _checked(build_vocab, examples=examples, min_freq=s["min_freq"])
     model_cfg = _config(
         ModelConfig, s, source_vocab_size=vocab.source_size,
         target_vocab_size=vocab.target_size, rng_seed=s["seed"])

@@ -8,9 +8,9 @@ grammeme list, ``_`` when the token carries no features.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import itertools
+from dataclasses import dataclass
+from typing import Iterator
 
 
 class CorpusFormatError(ValueError):
@@ -87,7 +87,6 @@ class Sentence:
 @dataclass(frozen=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
-    source_path: str | None = field(default=None, compare=False)
 
     def __len__(self):
         return len(self.sentences)
@@ -125,18 +124,11 @@ def tag_to_string(tag: MorphoTag) -> str:
     return ";".join(tag.grammemes) if tag.grammemes else "_"
 
 
-def _iter_lines(text) -> Iterator[str]:
-    if isinstance(text, str):
-        return iter(text.split("\n"))
-    if isinstance(text, io.IOBase) or hasattr(text, "read"):
-        return (line.rstrip("\n") for line in text)
-    return iter(text)
-
-
 def parse_corpus(text, mode: str = "gold") -> Corpus:
     """Parse corpus text into a Corpus.
 
-    ``text`` may be a string, an open text file, or an iterable of lines.
+    ``text`` may be a string, an open text file, or an iterable of lines
+    (with or without their ``"\n"``).
     In ``gold`` mode every token line needs FORM, LEMMA and TAG columns and
     tags are normalized; in ``surface_only`` mode anything past FORM is
     ignored.  Raises CorpusFormatError with a line number on bad input.
@@ -146,22 +138,16 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
     sentences = []
     tokens: list[Token] = []
     block_start = None
-
-    def finish_block(lineno):
-        nonlocal tokens, block_start
-        if block_start is None:
-            return
-        if not tokens:
-            raise CorpusFormatError("sentence block without tokens", block_start)
-        sentences.append(Sentence(tuple(tokens)))
-        tokens = []
-        block_start = None
-
-    lineno = 0
-    for lineno, line in enumerate(_iter_lines(text), start=1):
+    lines = text.split("\n") if isinstance(text, str) else text
+    # the blank line after the input ends the last block like any other
+    for lineno, line in enumerate(itertools.chain(lines, [""]), start=1):
         line = line.rstrip("\n").removesuffix("\r")
         if line == "":
-            finish_block(lineno)
+            if block_start is not None:
+                if not tokens:
+                    raise CorpusFormatError("sentence block without tokens", block_start)
+                sentences.append(Sentence(tuple(tokens)))
+                tokens, block_start = [], None
             continue
         if block_start is None:
             block_start = lineno
@@ -188,7 +174,6 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
             tokens.append(Token(form, gold))
         except ValueError as err:
             raise CorpusFormatError(str(err), lineno) from None
-    finish_block(lineno + 1)
     return Corpus(tuple(sentences))
 
 
@@ -216,8 +201,7 @@ def read_corpus_file(path, mode: str = "gold") -> Corpus:
     except UnicodeDecodeError as err:
         line = raw[: err.start].count(b"\n") + 1
         raise CorpusFormatError("input is not valid UTF-8", line) from None
-    corpus = parse_corpus(text, mode)
-    return Corpus(corpus.sentences, source_path=str(path))
+    return parse_corpus(text, mode)
 
 
 def lexical_forms(corpus: Corpus) -> set[tuple[str, tuple[str, ...]]]:
@@ -237,21 +221,14 @@ def corpus_stats(corpus: Corpus, reference: Corpus | None = None) -> CorpusStats
     occurs as a gold lexical form in ``reference``; surface overlap does not
     count.
     """
-    n_tokens = 0
-    n_grammemes = 0
-    oov = 0
-    seen = lexical_forms(reference) if reference is not None else None
-    for sent in corpus:
-        for tok in sent.tokens:
-            if tok.gold is None:
-                raise ValueError("corpus_stats requires gold analyses")
-            n_tokens += 1
-            n_grammemes += len(tok.gold.tag)
-            if seen is not None:
-                if (tok.gold.lemma, tok.gold.tag.grammemes) not in seen:
-                    oov += 1
-    ratio = n_grammemes / n_tokens if n_tokens else 0.0
+    golds = [tok.gold for sent in corpus for tok in sent.tokens]
+    if any(g is None for g in golds):
+        raise ValueError("corpus_stats requires gold analyses")
+    n_tokens = len(golds)
+    ratio = sum(len(g.tag) for g in golds) / n_tokens if n_tokens else 0.0
     rate = None
     if reference is not None:
+        seen = lexical_forms(reference)
+        oov = sum((g.lemma, g.tag.grammemes) not in seen for g in golds)
         rate = oov / n_tokens if n_tokens else 0.0
     return CorpusStats(len(corpus.sentences), n_tokens, ratio, rate)

@@ -260,16 +260,8 @@ def align_full_sequence(units: list[Analysis], sentence: Sentence):
     is kept, missing positions fall back to (surface, empty tag), extra
     units are dropped, and the mismatch flag is returned True.
     """
-    length = len(sentence)
-    if len(units) == length:
-        return list(units), False
-    aligned = []
-    for i, token in enumerate(sentence.tokens):
-        if i < len(units):
-            aligned.append(units[i])
-        else:
-            aligned.append(Analysis(token.surface, EMPTY_TAG))
-    return aligned, True
+    fallbacks = [Analysis(token.surface, EMPTY_TAG) for token in sentence.tokens[len(units):]]
+    return list(units[:len(sentence)]) + fallbacks, len(units) != len(sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +353,7 @@ def _sentence_analyses(sentence, decoded, snippet_cfg, voting):
                 flags[i].add(FLAG_TRUNCATED)
             filled.append((got, dist, j))
         analyses.append(majority_vote(filled))
-    return analyses, _render_flags(flags)
-
-
-def _render_flags(flag_sets):
-    return [",".join(sorted(s)) for s in flag_sets]
+    return analyses, [",".join(sorted(s)) for s in flags]
 
 
 def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
@@ -400,4 +388,4 @@ def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
                   for tok, analysis in zip(sentence.tokens, analyses)]
         sentences.append(Sentence(tuple(tokens)))
         all_flags.append(flags)
-    return Corpus(tuple(sentences), source_path=corpus.source_path), all_flags
+    return Corpus(tuple(sentences)), all_flags

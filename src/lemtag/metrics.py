@@ -80,17 +80,11 @@ class EvalReport:
 
 
 def _score_rows(rows) -> SplitScores:
+    # each row is (lemma ok, lemma distance, tag ok, tag F1, analysis ok)
     n = len(rows)
     if n == 0:
         return _EMPTY_SPLIT
-    return SplitScores(
-        token_count=n,
-        lemma_accuracy=sum(r[0] for r in rows) / n,
-        avg_lemma_distance=sum(r[1] for r in rows) / n,
-        tag_accuracy=sum(r[2] for r in rows) / n,
-        avg_tag_f1=sum(r[3] for r in rows) / n,
-        analysis_accuracy=sum(r[4] for r in rows) / n,
-    )
+    return SplitScores(n, *(sum(col) / n for col in zip(*rows)))
 
 
 def evaluate(pred: Corpus, gold: Corpus, train_reference: Corpus | None = None) -> EvalReport:

@@ -16,6 +16,7 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -247,6 +248,9 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
 
 
 def _dropout_mask(rng, shape, p):
+    """A scaled keep mask, or None when not training (no ``rng``) or ``p`` is 0."""
+    if rng is None or p == 0:
+        return None
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
@@ -260,24 +264,24 @@ def _check_ids(ids, size, what):
 # forward
 
 
-def _stack_forward(model, stack, inputs, mask, init, train, rng):
+def _stack_forward(model, stack, inputs, mask, init, rng):
     """Run the "enc" or "dec" LSTM stack over (B, T, E) inputs under a (B, T) mask.
 
     Each encoder layer runs directions ``enc{l}_fwd`` and ``enc{l}_bwd``
     from zero states; each decoder layer runs the one direction ``dec{l}``
     from ``init[l]``, the bridge's (h, c).  Layers above the first see their
-    input through dropout when training.  Returns the top layer's
-    outputs and each layer's final (h, c), both with the directions
-    concatenated along the last axis, and a cache for ``_stack_backward``.
+    input through dropout when ``rng`` is given (training).  Returns the
+    top layer's outputs and each layer's final (h, c), both with the
+    directions concatenated along the last axis, and a cache for
+    ``_stack_backward``.
     """
     cfg = model.config
     p = model.params
     finals = []
     caches = []
     for layer in range(cfg.layers):
-        drop = None
-        if layer > 0 and train and cfg.dropout_p > 0:
-            drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p)
+        drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p) if layer > 0 else None
+        if drop is not None:
             inputs = inputs * drop
         if stack == "enc":
             zero = np.zeros((len(inputs), cfg.hidden_units))
@@ -298,32 +302,28 @@ def _stack_forward(model, stack, inputs, mask, init, train, rng):
     return inputs, finals, caches
 
 
-def _forward(model, batch, train, rng):
-    """Full teacher-forced pass; returns loss and a cache for backward."""
+def _forward(model, batch, rng):
+    """Full teacher-forced pass, with dropout when ``rng`` is given;
+    returns loss and a cache for backward."""
     if batch.tgt is None or batch.loss_mask is None:
         raise ValueError("forward pass requires targets")
     n_tokens = batch.loss_mask.sum()
     if n_tokens == 0:
         raise ValueError("empty loss mask")
     cfg = model.config
-    if train and cfg.dropout_p > 0 and rng is None:
-        raise ValueError("dropout is active; a random generator is required")
-
     _check_ids(batch.tgt, cfg.target_vocab_size, "target")  # inputs and gold ids
     _check_ids(batch.src, cfg.source_vocab_size, "source")
     p = model.params
     enc_out, finals, enc_caches = _stack_forward(
-        model, "enc", p["src_embed"][batch.src], batch.src_mask, None, train, rng)
+        model, "enc", p["src_embed"][batch.src], batch.src_mask, None, rng)
     enc_states = enc_out * batch.src_mask[:, :, None]
     # padded target positions carry zero loss weight, so the mask that
     # freezes the decoder there changes neither the loss nor a gradient
     tgt_in = batch.tgt[:, :-1]
     dec_out, _, dec_caches = _stack_forward(
         model, "dec", p["tgt_embed"][tgt_in], batch.loss_mask,
-        init_decoder_state(model, finals), train, rng)
-    out_drop = None
-    if train and cfg.dropout_p > 0:
-        out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
+        init_decoder_state(model, finals), rng)
+    out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
     logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
     gold = batch.tgt[:, 1:]
@@ -342,7 +342,7 @@ def _forward(model, batch, train, rng):
 def forward_loss(model, batch) -> float:
     """Mean masked token cross-entropy (nats) under teacher forcing, for
     inference only: no dropout is applied (``backward`` trains)."""
-    loss, _ = _forward(model, batch, False, None)
+    loss, _ = _forward(model, batch, None)
     return loss
 
 
@@ -351,7 +351,7 @@ def encode_source(model, batch):
     (h, c), each (B, 2*hidden)."""
     _check_ids(batch.src, model.config.source_vocab_size, "source")
     out, finals, _ = _stack_forward(
-        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, False, None)
+        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, None)
     return out * batch.src_mask[:, :, None], finals
 
 
@@ -359,7 +359,7 @@ def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
     """Bilinear attention, tanh combination and output projection.
 
     Takes decoder states (B, T, H), encoder states (B, S, 2H) and the
-    source mask (B, S) or (1, S); ``out_drop`` is an optional dropout mask on the
+    source mask (B, S); ``out_drop`` is an optional dropout mask on the
     combined states.  Returns logits (B, T, V) and a dict of the
     intermediate values (weights (B, T, S), context (B, T, 2H), ...).
     """
@@ -448,7 +448,9 @@ def backward(model, batch, rng=None):
     """
     cfg = model.config
     p = model.params
-    loss, cache = _forward(model, batch, True, rng)
+    if rng is None and cfg.dropout_p > 0:
+        raise ValueError("dropout is active; a random generator is required")
+    loss, cache = _forward(model, batch, rng)
     grads = {}
 
     # cross-entropy -> logits
@@ -502,9 +504,12 @@ def backward(model, batch, rng=None):
 
 
 def sgd_update(model, grads, lr, clip_norm=None):
-    """Clip gradients to a global norm, then take one SGD step in place."""
+    """Clip gradients to a global norm (``clip_norm`` None for no
+    clipping), then take one SGD step in place."""
     if not lr > 0:
         raise ValueError("learning rate must be positive")
+    if clip_norm is not None and not clip_norm > 0:
+        raise ValueError("clip_norm must be None or positive")
     sq = 0.0
     for g in grads.values():
         sq += float((g * g).sum())
@@ -512,7 +517,7 @@ def sgd_update(model, grads, lr, clip_norm=None):
     if not np.isfinite(norm):
         raise ValueError("non-finite gradients")
     scale = 1.0
-    if clip_norm is not None and clip_norm > 0 and norm > clip_norm:
+    if clip_norm is not None and norm > clip_norm:
         scale = clip_norm / norm
     for name, param in model.params.items():
         # stay on the float32 grid so checkpoints round-trip exactly
@@ -532,34 +537,33 @@ def save_model(model: Model, vocab: Vocab, path):
         "target_symbols": list(vocab.target_symbols),
         "min_freq": vocab.min_freq,
     }).encode("utf-8")
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<I", CHECKPOINT_VERSION)
-    buf += struct.pack("<Q", len(header))
-    buf += header
-    for tensor in model.params.values():
-        buf += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
+    head = struct.pack("<4sIQ", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)) + header
     with open(path, "wb") as f:
-        f.write(bytes(buf))
+        f.write(head)
+        crc = zlib.crc32(head)
+        for tensor in model.params.values():
+            chunk = np.ascontiguousarray(tensor, dtype="<f4")
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_model(path, expect_vocab: Vocab | None = None):
     """Read a checkpoint back into (Model, Vocab); verifies checksum/version."""
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8 + 4:
         raise CheckpointError("checkpoint file truncated")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    end = len(blob) - 4  # tensor data stops at the CRC32 trailer
+    if zlib.crc32(blob[:end]) != struct.unpack_from("<I", blob, end)[0]:
         raise CheckpointError("checkpoint checksum mismatch (corrupt or truncated file)")
-    if body[:4] != CHECKPOINT_MAGIC:
+    magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version, header_len = struct.unpack("<IQ", body[4:16])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format version {version}")
     try:
-        header = json.loads(body[16:16 + header_len].decode("utf-8"))
+        header = json.loads(str(blob[16:16 + header_len], "utf-8"))
         cfg = ModelConfig(**header["config"])
         vocab = Vocab(header["source_symbols"], header["target_symbols"], header["min_freq"])
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as err:
@@ -568,16 +572,14 @@ def load_model(path, expect_vocab: Vocab | None = None):
         raise CheckpointError("checkpoint config and stored vocabulary disagree")
     if expect_vocab is not None and expect_vocab != vocab:
         raise CheckpointError("checkpoint vocabulary does not match the provided one")
-    data = body[16 + header_len:]
     params = {}
-    offset = 0
+    offset = 16 + header_len
     for name, shape in _param_shapes(cfg).items():
-        count = int(np.prod(shape))
-        end = offset + 4 * count
-        if end > len(data):
+        count = math.prod(shape)
+        if offset + 4 * count > end:
             raise CheckpointError("checkpoint tensor data truncated")
-        params[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape).astype(np.float64)
-        offset = end
-    if offset != len(data):
+        params[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).astype(np.float64)
+        offset += 4 * count
+    if offset != end:
         raise CheckpointError("trailing bytes after tensor data")
     return Model(cfg, params), vocab

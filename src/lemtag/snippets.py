@@ -188,6 +188,7 @@ class Vocab:
         self.source_symbols = tuple(source_symbols)
         self.target_symbols = tuple(target_symbols)
         self.min_freq = min_freq
+        check_integer("min_freq", min_freq, 1)
         if self.source_symbols[:5] != CONTROL_SYMBOLS or self.target_symbols[:5] != CONTROL_SYMBOLS:
             raise ValueError("vocab must start with the control symbols")
         self._source_index = {s: i for i, s in enumerate(self.source_symbols)}

@@ -162,27 +162,33 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda config: {k: v for k, v in config.items() if k != "source_vocab_size"},
-    lambda config: dict(config, beam_width=5),
-    lambda config: list(config.values()),
-    lambda config: dict(config, layers=1.0),
-    lambda config: dict(config, hidden_units=64.0),
-    lambda config: dict(config, embedding_size=True),
-    lambda config: dict(config, rng_seed=1.5),
+@pytest.mark.parametrize("key, edit", [
+    ("config", lambda config: {k: v for k, v in config.items() if k != "source_vocab_size"}),
+    ("config", lambda config: dict(config, beam_width=5)),
+    ("config", lambda config: list(config.values())),
+    ("config", lambda config: dict(config, layers=1.0)),
+    ("config", lambda config: dict(config, hidden_units=64.0)),
+    ("config", lambda config: dict(config, embedding_size=True)),
+    ("config", lambda config: dict(config, rng_seed=1.5)),
+    ("min_freq", lambda min_freq: 0),
+    ("min_freq", lambda min_freq: "x"),
+    ("min_freq", lambda min_freq: 1.5),
+    ("min_freq", lambda min_freq: None),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
-        "float-hidden-units", "bool-embedding-size", "float-rng-seed"])
-def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, edit):
+        "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
+        "text-min-freq", "float-min-freq", "null-min-freq"])
+def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,
+                                                            edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))
     model = init_model(ModelConfig(vocab.source_size, vocab.target_size,
                                    embedding_size=2, hidden_units=2, layers=1))
     ckpt = tmp_path / "bad-config.ckpt"
     save_model(model, vocab, ckpt)
-    # rewrite the header's config and give the file a valid checksum again
+    # rewrite one header field and give the file a valid checksum again
     body = ckpt.read_bytes()[:-4]
     (header_len,) = struct.unpack("<Q", body[8:16])
     header = json.loads(body[16:16 + header_len])
-    header["config"] = edit(header["config"])
+    header[key] = edit(header[key])
     text = json.dumps(header).encode("utf-8")
     body = body[:8] + struct.pack("<Q", len(text)) + text + body[16 + header_len:]
     ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -213,6 +219,15 @@ def test_train_rejects_uneven_checkpoint_interval(capsys, tmp_path, gold_file):
                        "--steps", "5", "--checkpoint-every", "2")
     assert code == 1
     assert "divide" in err
+
+
+def test_train_rejects_min_freq_below_one(capsys, tmp_path, gold_file):
+    code, _, err = run(capsys, "train", gold_file, gold_file,
+                       "--checkpoint-dir", str(tmp_path / "run"),
+                       "--steps", "2", "--checkpoint-every", "2", "--min-freq", "0")
+    assert code == 1
+    assert "min_freq must be an integer >= 1" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

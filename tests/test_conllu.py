@@ -51,6 +51,32 @@ def test_parse_comment_only_block_is_an_error():
     assert "without tokens" in str(err.value)
 
 
+def test_trailing_comment_only_block_reports_its_first_line():
+    for text in (SAMPLE + "\n# one\n# two", SAMPLE + "\n# one\n# two\n"):
+        with pytest.raises(CorpusFormatError, match="without tokens") as err:
+            parse_corpus(text)
+        assert err.value.line == 5
+
+
+def test_parse_without_trailing_newline():
+    two = SAMPLE + "\nowls\towl\tN;PL\n"
+    assert parse_corpus(SAMPLE.rstrip("\n")) == parse_corpus(SAMPLE)
+    corpus = parse_corpus(two.rstrip("\n"))
+    assert corpus == parse_corpus(two)
+    assert [len(s) for s in corpus] == [3, 1]
+
+
+def test_parse_newline_terminated_line_lists():
+    text = "# s1\n" + SAMPLE + "\nowls\towl\tN;PL\n"
+    assert parse_corpus(text.splitlines(keepends=True)) == parse_corpus(text)
+    crlf = text.replace("\n", "\r\n").splitlines(keepends=True)
+    assert parse_corpus(crlf) == parse_corpus(text)
+    bad = (SAMPLE + "\nowls owl N;PL\n").splitlines(keepends=True)
+    with pytest.raises(CorpusFormatError) as err:
+        parse_corpus(bad)
+    assert err.value.line == 5
+
+
 def test_parse_extra_columns_ignored():
     corpus = parse_corpus("a\tb\tX\textra\tmore\n")
     assert corpus.sentences[0].tokens[0].gold == Analysis("b", MorphoTag(("X",)))
@@ -202,7 +228,6 @@ def test_read_corpus_file(tmp_path):
     path.write_text(SAMPLE, encoding="utf-8")
     corpus = read_corpus_file(path)
     assert corpus == parse_corpus(SAMPLE)
-    assert corpus.source_path == str(path)
 
 
 def test_read_corpus_file_bad_utf8(tmp_path):

@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -407,6 +411,10 @@ def test_sgd_rejects_non_finite():
     grads = zero_grads(m)
     with pytest.raises(ValueError, match="learning rate"):
         sgd_update(m, grads, lr=float("nan"))
+    # a NaN, zero or negative clip norm used to switch clipping off silently
+    for clip_norm in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="clip_norm"):
+            sgd_update(m, grads, lr=1.0, clip_norm=clip_norm)
     grads["out_b"][0] = np.nan
     with pytest.raises(ValueError):
         sgd_update(m, grads, lr=1.0, clip_norm=5.0)
@@ -497,6 +505,52 @@ def test_checkpoint_not_a_checkpoint(tmp_path):
     path = tmp_path / "garbage.ckpt"
     path.write_bytes(b"not a checkpoint at all, definitely")
     with pytest.raises(CheckpointError):
+        load_model(path)
+
+
+# SHA-256 of the checkpoint of init_model(tiny_config(layers=2, rng_seed=7))
+CHECKPOINT_SHA256 = "76f7defd7a442ca626e31d69e1752f9bbdd1075bb7933932e385f38c9963e4d4"
+
+
+def test_checkpoint_bytes_match_golden_digest(tmp_path):
+    # pins the file format: header layout, tensor order, float32 bytes, CRC32
+    cfg = tiny_config(layers=2, rng_seed=7)
+    path = tmp_path / "model.ckpt"
+    save_model(init_model(cfg), tiny_vocab(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+
+def saved_checkpoint(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_model(init_model(cfg), tiny_vocab(cfg), path)
+    return path
+
+
+def with_crc(edit):
+    """A file edit applying ``edit`` to the bytes before the CRC32 trailer
+    and giving the result a valid checksum again."""
+    def rewrite(blob):
+        body = edit(blob[:-4])
+        return body + struct.pack("<I", zlib.crc32(body))
+    return rewrite
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: blob[:19], "checkpoint file truncated"),
+    (lambda blob: blob[:-5] + bytes([blob[-5] ^ 0x01]) + blob[-4:],
+     r"checkpoint checksum mismatch \(corrupt or truncated file\)"),
+    (with_crc(lambda body: b"LMTX" + body[4:]), r"not a checkpoint file \(bad magic\)"),
+    (with_crc(lambda body: body[:4] + struct.pack("<I", 2) + body[8:]),
+     "unsupported checkpoint format version 2"),
+    (with_crc(lambda body: body[:-4]), "checkpoint tensor data truncated"),
+    (with_crc(lambda body: body + bytes(4)), "trailing bytes after tensor data"),
+], ids=["short-file", "flipped-tensor-byte", "bad-magic", "version-2", "missing-tensor-tail",
+        "trailing-bytes"])
+def test_checkpoint_load_rejections(tmp_path, edit, message):
+    path = saved_checkpoint(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"^{message}$"):
         load_model(path)
 
 

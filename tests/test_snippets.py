@@ -168,6 +168,15 @@ def test_vocab_min_freq_filters():
     assert "B" not in vocab2.source_symbols
 
 
+@pytest.mark.parametrize("min_freq", [0, 1.5, True])
+def test_vocab_rejects_bad_min_freq(min_freq):
+    examples = [build_full_sequence_example(_sentence())]
+    with pytest.raises(ValueError, match="min_freq must be an integer >= 1"):
+        build_vocab(examples, min_freq=min_freq)
+    with pytest.raises(ValueError, match="min_freq"):
+        Vocab(CONTROL_SYMBOLS, CONTROL_SYMBOLS, min_freq)
+
+
 def test_vocab_lookup_and_unk():
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",), 1)
     assert vocab.source_id("a") == 5
