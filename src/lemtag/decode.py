@@ -89,9 +89,10 @@ def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
     rows and then its greedy row, and each step decodes every block in one
     ``decode_step`` call.  Unused slots carry the start id and a copy of
     the greedy row's state; their outputs are ignored.  Within a block the
-    flat (hypothesis x V) scores go through one stable argsort, so ties go
-    to the lexicographically smallest ids.  A source that stops leaves the
-    batch by row gather.
+    best ``2 * beam_size`` of the flat (hypothesis x V) scores are selected
+    with a partition at the cut-off and ordered as a stable sort would order
+    them, so ties go to the lexicographically smallest ids.  A source that
+    stops leaves the batch by row gather.
     """
     batch = make_batch([(list(s), None) for s in sources])
     enc, finals = encode_source(model, batch)
@@ -118,10 +119,17 @@ def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
                 scores[b, :len(src.alive)] = [score for _, score, _ in src.alive]
             totals = (scores[:, :, None] + logp[:, :beam_size]).reshape(len(live), -1)
             # each alive hypothesis ends at most once, so 2 * beam_size
-            # entries always fill the beam or reach the non-finite tail
-            top = np.argsort(-totals, axis=1, kind="stable")[:, :2 * beam_size]
-            top_totals = np.take_along_axis(totals, top, axis=1).tolist()
-            top = top.tolist()
+            # entries always fill the beam or reach the non-finite tail.
+            # Every entry up to the row's cut-off is kept, ties at it
+            # included, then ordered as a stable argsort of -totals would.
+            neg, depth = -totals, 2 * beam_size
+            cut = np.partition(neg, depth - 1, axis=1)[:, depth - 1:depth]
+            cand_row, cand_col = np.nonzero(~(neg > cut))  # a NaN cut-off keeps the whole row
+            order = np.lexsort((cand_col, neg[cand_row, cand_col], cand_row))
+            first = np.searchsorted(cand_row, np.arange(len(live)))  # each row's first candidate
+            pick = order[first[:, None] + np.arange(depth)]
+            top = cand_col[pick].tolist()
+            top_totals = totals[cand_row[pick], cand_col[pick]].tolist()
         greedy_next = greedy_next.tolist()
         rows, prev, kept = [], [], []
         for b, src in enumerate(live):

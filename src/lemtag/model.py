@@ -159,9 +159,10 @@ def make_batch(pairs) -> Batch:
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; same bytes as 1/(1+exp(-x)) | exp(x)/(1+exp(x))
+    # exp(-|x|) never overflows; same bytes as 1/(1+exp(-x)) | exp(x)/(1+exp(x)).
+    # e <= 1, so max(e, x >= 0) is 1 or e without a data-dependent branch
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _log_softmax(logits):
@@ -367,10 +368,10 @@ def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
     if not (source_mask > 0).any(axis=1).all():
         raise ValueError("attention over fully masked source")
     proj = decoder_states @ p["attn_W"]
-    scores = np.einsum("btk,bsk->bts", proj, encoder_states)
+    scores = proj @ encoder_states.transpose(0, 2, 1)
     scores = np.where(source_mask[:, None, :] > 0, scores, -np.inf)
     weights = _softmax(scores)
-    context = np.einsum("bts,bsk->btk", weights, encoder_states)
+    context = weights @ encoder_states
     combined = np.concatenate([context, decoder_states], axis=2)
     tilde = np.tanh(combined @ p["combo_W"])
     tilde_d = tilde if out_drop is None else tilde * out_drop
@@ -476,11 +477,11 @@ def backward(model, batch, rng=None):
     # attention
     enc_states = cache["enc_states"]
     weights = cache["weights"]
-    d_weights = np.einsum("btk,bsk->bts", d_context, enc_states)
-    d_enc = np.einsum("bts,btk->bsk", weights, d_context)
+    d_weights = d_context @ enc_states.transpose(0, 2, 1)
+    d_enc = weights.transpose(0, 2, 1) @ d_context
     d_scores = weights * (d_weights - (d_weights * weights).sum(axis=2, keepdims=True))
-    d_proj = np.einsum("bts,bsk->btk", d_scores, enc_states)
-    d_enc += np.einsum("bts,btk->bsk", d_scores, cache["proj"])
+    d_proj = d_scores @ enc_states
+    d_enc += d_scores.transpose(0, 2, 1) @ cache["proj"]
     grads["attn_W"] = flat(cache["dec_out"]).T @ flat(d_proj)
     d_dec_out += d_proj @ p["attn_W"].T
 

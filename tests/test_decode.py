@@ -237,11 +237,18 @@ def test_beam_never_scores_below_greedy():
 TIED_NEXT = {START_ID: (5, 6), 5: (9,), 6: (4,)}
 
 
-def tied_decode_step(model, prev_ids, state, encoder_states, source_mask):
-    logits = np.full((len(prev_ids), model.config.target_vocab_size), -50.0)
-    for row, prev in enumerate(prev_ids):
-        logits[row, list(TIED_NEXT.get(int(prev), (END_ID,)))] = 0.0
-    return logits, state
+def tied_step(next_ids):
+    """A decode_step whose rows put equal logits on ``next_ids[prev]`` (the
+    end symbol for any other previous id) and -50 on every other symbol."""
+    def step(model, prev_ids, state, encoder_states, source_mask):
+        logits = np.full((len(prev_ids), model.config.target_vocab_size), -50.0)
+        for row, prev in enumerate(prev_ids):
+            logits[row, list(next_ids.get(int(prev), (END_ID,)))] = 0.0
+        return logits, state
+    return step
+
+
+tied_decode_step = tied_step(TIED_NEXT)
 
 
 def test_beam_score_ties_go_to_smallest_ids(monkeypatch):
@@ -275,7 +282,7 @@ def test_beam_encodes_once_and_decodes_greedy_alongside(monkeypatch):
     assert [calls[name] for name in names] == [1, 0, 3]
 
 
-def one_source_search(model, source_ids, cfg, beam_size):
+def one_source_search(model, source_ids, cfg, beam_size, step=decode_step):
     """The search of one source alone, one hypothesis list per step: the
     reference the batched search is held to."""
     batch = make_batch([(list(source_ids), None)])
@@ -289,9 +296,9 @@ def one_source_search(model, source_ids, cfg, beam_size):
         state = [(h[rows], c[rows]) for h, c in state]
         prev = [ids[-1] if ids else START_ID for ids, _, _ in alive]
         prev += [greedy[-1] if greedy else START_ID] * greedy_live
-        logits, state = decode_step(model, np.array(prev), state,
-                                    np.repeat(enc, len(prev), axis=0),
-                                    np.repeat(batch.src_mask, len(prev), axis=0))
+        logits, state = step(model, np.array(prev), state,
+                             np.repeat(enc, len(prev), axis=0),
+                             np.repeat(batch.src_mask, len(prev), axis=0))
         logp = decode_mod._log_softmax(logits)
         logp[:, [PAD_ID, START_ID]] = -np.inf
         if greedy_live:
@@ -380,6 +387,27 @@ def test_batched_beam_score_ties_go_to_smallest_ids(monkeypatch):
     for beam_size in (2, 3, 5):
         assert decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size),
                                   beam_size) == [([5, 9], True)] * 3
+
+
+# From the start symbol 11 symbols tie, more than 2 * beam_size for beam 5,
+# so the tie spans the selection cut-off.  All but 5 end next; 5 goes on to
+# two tied symbols, so the greedy rollout [5, 9] scores lower and the
+# search must return the smallest of the rest.
+WIDE_TIED_NEXT = {START_ID: tuple(range(5, 16)), 5: (9, 10)}
+
+
+def test_batched_beam_ties_across_the_cut_off_go_to_smallest_ids(monkeypatch):
+    model, vocab, corpus, snip = setup_model()
+    assert model.config.target_vocab_size > max(WIDE_TIED_NEXT[START_ID])
+    sources = ragged_sources(vocab, corpus, snip, 3)
+    step = tied_step(WIDE_TIED_NEXT)
+    monkeypatch.setattr(decode_mod, "decode_step", step)
+    for beam_size in (2, 3, 5):
+        assert len(WIDE_TIED_NEXT[START_ID]) > 2 * beam_size
+        cfg = DecodeConfig(beam_size=beam_size)
+        batched = decode_mod._search(model, sources, cfg, beam_size)
+        assert batched == [one_source_search(model, s, cfg, beam_size, step) for s in sources]
+        assert batched == [([6], True)] * 3
 
 
 def test_batched_search_encodes_each_chunk_once(monkeypatch):

@@ -194,6 +194,23 @@ def test_sigmoid_matches_two_branch_form_bytewise():
         assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
+def test_sigmoid_matches_select_form_bytewise():
+    """The branch-free max(e, x >= 0) numerator gives the bytes of the
+    select it replaced, signed zeros, infinities and NaN included."""
+    def where_sigmoid(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    mags = np.array([0.0, 1e-300, 20.0, 745.0, 800.0, np.inf])
+    rng = np.random.default_rng(0)
+    blocks = [np.concatenate([mags, -mags, [np.nan]])]
+    blocks += [rng.normal(scale=4, size=shape) for shape in ((32, 256), (192, 256), (32, 2000))]
+    for x in blocks:
+        got, want = _sigmoid(x), where_sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_encoder_is_direction_sensitive():
     cfg = tiny_config()
     m = init_model(cfg)

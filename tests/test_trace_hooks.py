@@ -42,21 +42,34 @@ def test_decode_step_rows_come_from_prev_ids():
     assert list(inspect.signature(decode_step).parameters)[1] == "prev_ids"
 
 
-def fixture_job():
-    """The predict-h64 seed-1 test corpus (surface only) and the fixture model."""
+def fixture_job(seed=1):
+    """A predict-h64 test corpus (surface only; the same on every workload)
+    and the fixture model."""
     corpusgen = load_perfbench("corpusgen")
-    text = corpusgen.to_text(corpusgen.make_sentences(8, 1, 2), gold=False)
+    text = corpusgen.to_text(corpusgen.make_sentences(8, seed, 2), gold=False)
     model, vocab = load_model(PERFBENCH / "fixture" / "h64.ckpt")
     snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
     return model, parse_corpus(text, mode="surface_only"), vocab, snip
 
 
-@pytest.mark.parametrize("beam_size, voting, digest", [
-    (1, False, "a5c3587220f51ca6"),
-    (5, True, "6228d1ae8e6737f4"),
-])
-def test_fixture_predictions_match_benchmark_digests(beam_size, voting, digest):
-    model, corpus, vocab, snip = fixture_job()
+# corpus seed -> SHA-256 prefixes of the greedy and the beam-5 + vote corpus
+FIXTURE_DIGESTS = {
+    1: ("a5c3587220f51ca6", "6228d1ae8e6737f4"),
+    2: ("257e8c014894aa9f", "4959983e6285a6b7"),
+    3: ("f7ca988a6a666410", "b0a0e36563e849c4"),
+    4: ("b404111981976956", "2645f43f5526a42a"),
+    5: ("3e01d8426f17c9bb", "3e01d8426f17c9bb"),
+    6: ("61ca8135a9221cfd", "3469a1d0c974fba5"),
+}
+FIXTURE_CASES = [(seed, beam_size, voting, digest)
+                 for seed, digests in FIXTURE_DIGESTS.items()
+                 for (beam_size, voting), digest in zip([(1, False), (5, True)], digests)]
+
+
+@pytest.mark.parametrize("seed, beam_size, voting, digest", FIXTURE_CASES,
+                         ids=[f"{b}-{v}-{d}" for _, b, v, d in FIXTURE_CASES])
+def test_fixture_predictions_match_benchmark_digests(seed, beam_size, voting, digest):
+    model, corpus, vocab, snip = fixture_job(seed)
     predicted, _ = predict_corpus(model, corpus, vocab, snip,
                                   DecodeConfig(beam_size=beam_size), voting=voting)
     assert hashlib.sha256(write_corpus(predicted).encode()).hexdigest().startswith(digest)
