@@ -75,6 +75,23 @@ def test_fixture_predictions_match_benchmark_digests(seed, beam_size, voting, di
     assert hashlib.sha256(write_corpus(predicted).encode()).hexdigest().startswith(digest)
 
 
+# beam size -> SHA-256 prefixes of the corpus and of the flag lines the
+# fixture model predicts on the seed-1 corpus in full-sequence mode
+FULL_SEQUENCE_DIGESTS = {1: ("ae0acc7a557aed68", "5de869bd4c3c01e2"),
+                         2: ("ecbae7598c309d32", "5de869bd4c3c01e2")}
+
+
+@pytest.mark.parametrize("beam_size", sorted(FULL_SEQUENCE_DIGESTS))
+def test_fixture_full_sequence_predictions_match_digests(beam_size):
+    model, corpus, vocab, _ = fixture_job(1)
+    predicted, flags = predict_corpus(model, corpus, vocab, SnippetConfig(mode="full_sequence"),
+                                      DecodeConfig(beam_size=beam_size))
+    flag_lines = "".join("\t".join(f or "-" for f in sentence) + "\n" for sentence in flags)
+    digests = [hashlib.sha256(text.encode()).hexdigest()[:16]
+               for text in (write_corpus(predicted), flag_lines)]
+    assert tuple(digests) == FULL_SEQUENCE_DIGESTS[beam_size]
+
+
 def test_traced_predict_corpus_records_encoder_and_decoder_spans():
     import lemtag
     spantrace = load_spantrace()
