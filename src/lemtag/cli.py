@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
-                     write_corpus)
+                     read_text_file, write_corpus)
 from .decode import DecodeConfig, predict_corpus
 from .metrics import EvalAlignmentError, evaluate
 from .model import CheckpointError, ModelConfig, init_model, load_model
@@ -43,12 +43,12 @@ def _parse_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_optional_float(raw):
-    return None if raw.strip().lower() == "none" else float(raw)
-
-
-def _parse_optional_int(raw):
-    return None if raw.strip().lower() == "none" else int(raw)
+def _parse_optional(cast):
+    """``cast``, or None for "none"; argparse errors name the parser."""
+    def parse(raw):
+        return None if raw.strip().lower() == "none" else cast(raw)
+    parse.__name__ = f"_parse_optional_{cast.__name__}"
+    return parse
 
 
 # option -> (config class or function, field or parameter); each option's
@@ -78,7 +78,7 @@ _OPTIONS = {
 }
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
-            "int | None": _parse_optional_int, "float | None": _parse_optional_float}
+            "int | None": _parse_optional(int), "float | None": _parse_optional(float)}
 
 _CHOICES = {"mode": MODES, "tc": TC_MODES, "selection_metric": SELECTION_METRICS}
 
@@ -91,25 +91,27 @@ def _cast(key):
 
 
 def _read_config_file(path):
-    values = {}
     try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in _OPTIONS:
-                    raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-                try:
-                    values[key] = _cast(key)(raw.strip())
-                except ValueError as err:
-                    raise UsageError(f"{path}:{lineno}: {err}") from None
+        text = read_text_file(path)
     except OSError as err:
         raise UsageError(f"cannot read config file: {err}") from None
+    except CorpusFormatError as err:
+        raise UsageError(f"{path}:{err.line}: not valid UTF-8") from None
+    values = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _OPTIONS:
+            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            values[key] = _cast(key)(raw.strip())
+        except ValueError as err:
+            raise UsageError(f"{path}:{lineno}: {err}") from None
     return values
 
 
@@ -143,6 +145,16 @@ def _write_text(path, text):
         f.write(text)
 
 
+def _write_lines(path, lines):
+    """One newline-terminated line per entry to ``path``, or to stdout
+    without one; no lines write nothing."""
+    text = "".join(line + "\n" for line in lines)
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -164,12 +176,7 @@ def run_snippetize(args):
     snip_cfg = _config(SnippetConfig, s)
     mode = "surface_only" if args.surface_only else "gold"
     corpus = read_corpus_file(args.corpus, mode=mode)
-    lines = [format_example(e) for e in examples_for_corpus(corpus, snip_cfg)]
-    text = "\n".join(lines) + "\n" if lines else ""
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args.out, (format_example(e) for e in examples_for_corpus(corpus, snip_cfg)))
     return 0
 
 
@@ -214,8 +221,7 @@ def run_predict(args):
     predicted, flags = predict_corpus(model, corpus, vocab, snip_cfg, decode_cfg, voting)
     _write_text(args.out, write_corpus(predicted))
     if args.flags_out:
-        lines = ["\t".join(f or "-" for f in sent) for sent in flags]
-        _write_text(args.flags_out, "\n".join(lines) + "\n")
+        _write_lines(args.flags_out, ("\t".join(f or "-" for f in sent) for sent in flags))
     return 0
 
 

@@ -63,8 +63,8 @@ class Token:
     gold: Analysis | None = None
 
     def __post_init__(self):
-        if not self.surface:
-            raise ValueError("empty surface form")
+        if not self.surface.strip():
+            raise ValueError(f"blank surface form {self.surface!r}")
         if "\t" in self.surface or "\n" in self.surface:
             raise ValueError(f"surface contains tab/newline: {self.surface!r}")
 
@@ -154,9 +154,6 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
         if line.startswith("#"):
             continue
         cols = line.split("\t")
-        form = cols[0]
-        if not form:
-            raise CorpusFormatError("empty FORM column", lineno)
         if mode == "gold":
             if len(cols) < 3:
                 raise CorpusFormatError(
@@ -171,7 +168,7 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
         else:
             gold = None
         try:
-            tokens.append(Token(form, gold))
+            tokens.append(Token(cols[0], gold))
         except ValueError as err:
             raise CorpusFormatError(str(err), lineno) from None
     return Corpus(tuple(sentences))
@@ -189,19 +186,22 @@ def write_corpus(corpus: Corpus) -> str:
     return "\n".join(out) + "\n" if out else ""
 
 
-def read_corpus_file(path, mode: str = "gold") -> Corpus:
-    """Read and parse a corpus file, reporting the line of any UTF-8 error.
-
-    A leading byte-order mark is skipped, and CRLF line ends are accepted.
-    """
+def read_text_file(path) -> str:
+    """A UTF-8 file's text with any leading byte-order mark skipped; bytes
+    that are not UTF-8 raise CorpusFormatError with their line."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        text = raw.decode("utf-8-sig")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         line = raw[: err.start].count(b"\n") + 1
         raise CorpusFormatError("input is not valid UTF-8", line) from None
-    return parse_corpus(text, mode)
+
+
+def read_corpus_file(path, mode: str = "gold") -> Corpus:
+    """Read (``read_text_file``) and parse a corpus file; CRLF line ends
+    are accepted."""
+    return parse_corpus(read_text_file(path), mode)
 
 
 def lexical_forms(corpus: Corpus) -> set[tuple[str, tuple[str, ...]]]:

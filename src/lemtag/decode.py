@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ CHUNK_SOURCES = 32
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """``beam_size`` 1 is the greedy rollout alone; a wider beam keeps the
+    greedy rollout as a candidate.  See ``length_limit`` for ``max_length``."""
+
     beam_size: int = 5
     max_length: int | None = None
 
@@ -79,10 +82,10 @@ class _Source:
         return self.greedy, False
 
 
-def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
-    """Beam search over many sources, each with its greedy rollout decoded
-    alongside as a candidate (``beam_size`` 0 leaves the greedy rollouts
-    alone).  Returns one (ids, finished flag) per source.
+def _search(model: Model, sources, cfg: DecodeConfig):
+    """Beam search of width ``cfg.beam_size`` over many sources, each with
+    its greedy rollout decoded alongside as a candidate (width 1 leaves the
+    greedy rollouts alone).  Returns one (ids, finished flag) per source.
 
     The sources are encoded once, as one padded batch.  Each live source
     owns a block of ``beam_size + 1`` consecutive decoder rows, its beam
@@ -94,6 +97,7 @@ def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
     them, so ties go to the lexicographically smallest ids.  A source that
     stops leaves the batch by row gather.
     """
+    beam_size = cfg.beam_size if cfg.beam_size > 1 else 0  # beam rows per source
     batch = make_batch([(list(s), None) for s in sources])
     enc, finals = encode_source(model, batch)
     mask = batch.src_mask
@@ -172,7 +176,7 @@ def _search(model: Model, sources, cfg: DecodeConfig, beam_size: int):
 
 def greedy_ids(model: Model, source_ids, cfg: DecodeConfig):
     """Argmax rollout. Returns (ids without start/end, finished flag)."""
-    return _search(model, [source_ids], cfg, 0)[0]
+    return _search(model, [source_ids], replace(cfg, beam_size=1))[0]
 
 
 def score_sequence(model: Model, source_ids, target_ids) -> float:
@@ -192,17 +196,7 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
     scored by its summed log-probabilities, so the result never scores
     below it.  Returns (ids, finished flag).
     """
-    if cfg.beam_size == 1:
-        return greedy_ids(model, source_ids, cfg)
-    return _search(model, [source_ids], cfg, cfg.beam_size)[0]
-
-
-def greedy_decode(model: Model, source_ids, vocab: Vocab,
-                  cfg: DecodeConfig | None = None) -> list[str]:
-    """Greedy rollout as target symbols, start/end stripped."""
-    _check_vocab(model, vocab)
-    ids, _ = greedy_ids(model, source_ids, cfg or DecodeConfig())
-    return [vocab.target_symbol(i) for i in ids]
+    return _search(model, [source_ids], cfg)[0]
 
 
 def beam_decode(model: Model, source_ids, vocab: Vocab,
@@ -211,6 +205,12 @@ def beam_decode(model: Model, source_ids, vocab: Vocab,
     _check_vocab(model, vocab)
     ids, _ = beam_ids(model, source_ids, cfg or DecodeConfig())
     return [vocab.target_symbol(i) for i in ids]
+
+
+def greedy_decode(model: Model, source_ids, vocab: Vocab,
+                  cfg: DecodeConfig | None = None) -> list[str]:
+    """Greedy rollout as target symbols: ``beam_decode`` at width 1."""
+    return beam_decode(model, source_ids, vocab, replace(cfg or DecodeConfig(), beam_size=1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,9 @@ def parse_analysis_units(symbols) -> tuple[list[Analysis], list[bool]]:
     units: list[Analysis] = []
     malformed: list[bool] = []
     chunk: list[str] = []
+    symbols = list(symbols)
+    if symbols and symbols[-1] != WORD_BOUNDARY:
+        symbols.append(WORD_BOUNDARY)  # the trailing unit ends like any other
     for sym in symbols:
         if sym == WORD_BOUNDARY:
             analysis, bad = _parse_unit(chunk)
@@ -237,10 +240,6 @@ def parse_analysis_units(symbols) -> tuple[list[Analysis], list[bool]]:
             chunk = []
         else:
             chunk.append(sym)
-    if chunk:
-        analysis, bad = _parse_unit(chunk)
-        units.append(analysis)
-        malformed.append(bad)
     return units, malformed
 
 
@@ -369,29 +368,27 @@ def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
                    voting: bool = False):
     """Predict every sentence; returns (corpus with analyses, per-sentence flags).
 
-    Every example of the corpus (one per token in context-window mode,
-    one per sentence in full-sequence mode) is decoded by one batched
-    search per chunk of ``CHUNK_SOURCES`` examples of similar length.
+    Every example of ``examples_for_corpus`` is decoded by one batched
+    search per chunk of ``CHUNK_SOURCES`` examples of similar length, and
+    the decodes are grouped back by their example's sentence.
     """
     _check_vocab(model, vocab)
     if voting and snippet_cfg.mode != "context_window":
         raise ValueError("voting requires context_window mode")
-    sources = [encode(e, vocab)[0] for e in examples_for_corpus(corpus, snippet_cfg)]
-    beam_size = decode_cfg.beam_size if decode_cfg.beam_size > 1 else 0
+    examples = examples_for_corpus(corpus, snippet_cfg)
+    sources = [encode(e, vocab)[0] for e in examples]
     order = sorted(range(len(sources)), key=lambda i: (len(sources[i]), i))
     decoded = [None] * len(sources)
     for start in range(0, len(order), CHUNK_SOURCES):
         chunk = order[start:start + CHUNK_SOURCES]
-        searched = _search(model, [sources[i] for i in chunk], decode_cfg, beam_size)
+        searched = _search(model, [sources[i] for i in chunk], decode_cfg)
         for i, (ids, finished) in zip(chunk, searched):
             units, malformed = parse_analysis_units([vocab.target_symbol(k) for k in ids])
             decoded[i] = (units, malformed, finished)
-    sentences, all_flags, start = [], [], 0
-    for sentence in corpus:
-        count = 1 if snippet_cfg.mode == "full_sequence" else len(sentence)
-        analyses, flags = _sentence_analyses(sentence, decoded[start:start + count],
-                                             snippet_cfg, voting)
-        start += count
+    sentences, all_flags = [], []
+    by_sentence = itertools.groupby(zip(examples, decoded), key=lambda pair: pair[0].sentence_id)
+    for sentence, (_, group) in zip(corpus, by_sentence):
+        analyses, flags = _sentence_analyses(sentence, [d for _, d in group], snippet_cfg, voting)
         tokens = [Token(tok.surface, gold=analysis)
                   for tok, analysis in zip(sentence.tokens, analyses)]
         sentences.append(Sentence(tuple(tokens)))

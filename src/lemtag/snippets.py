@@ -149,31 +149,20 @@ def _examples(sentence: Sentence, spans, tc_mode: str,
     return examples
 
 
-def build_full_sequence_example(
-    sentence: Sentence, sentence_id: int = 0
-) -> SnippetExample:
-    """One example covering the whole sentence; target only when gold is present."""
-    return _examples(sentence, [(0, len(sentence) - 1, None)], "both", sentence_id)[0]
-
-
-def build_window_examples(
-    sentence: Sentence, cfg: SnippetConfig, sentence_id: int = 0
-) -> list[SnippetExample]:
-    """One example per focal token; the window is clipped at sentence edges."""
-    if cfg.mode != "context_window":
-        raise ValueError("build_window_examples requires context_window mode")
-    return _examples(sentence, [(*window_span(len(sentence), focal, cfg.window), focal)
-                                for focal in range(len(sentence))], cfg.tc_mode, sentence_id)
-
-
 def examples_for_corpus(corpus: Corpus, cfg: SnippetConfig) -> list[SnippetExample]:
-    """All examples of a corpus in sentence order."""
+    """All examples of a corpus in sentence order: in full_sequence mode one
+    per sentence, covering it whole with every token rendered by its
+    analysis; in context_window mode one per focal token, its window
+    clipped at the sentence edges."""
     examples = []
     for sid, sentence in enumerate(corpus):
+        length = len(sentence)
         if cfg.mode == "full_sequence":
-            examples.append(build_full_sequence_example(sentence, sid))
+            spans, tc_mode = [(0, length - 1, None)], "both"
         else:
-            examples.extend(build_window_examples(sentence, cfg, sid))
+            spans = [(*window_span(length, focal, cfg.window), focal) for focal in range(length)]
+            tc_mode = cfg.tc_mode
+        examples.extend(_examples(sentence, spans, tc_mode, sid))
     return examples
 
 

@@ -21,7 +21,7 @@ from lemtag.metrics import evaluate, levenshtein, tag_f1
 from lemtag.model import (ModelConfig, forward_loss, init_model, load_model,
                           make_batch, save_model)
 from lemtag.snippets import (SnippetConfig, WORD_BOUNDARY, build_vocab,
-                             build_window_examples, examples_for_corpus)
+                             examples_for_corpus)
 from lemtag.training import TrainConfig, lr_schedule, train
 from modelgen import warm_model
 
@@ -149,7 +149,7 @@ def test_criterion_4_snippet_laws():
                        for _ in range(length))
         sentence = Sentence(tokens)
         cfg = SnippetConfig(mode="context_window", window=window, tc_mode="both")
-        examples = build_window_examples(sentence, cfg)
+        examples = examples_for_corpus(Corpus((sentence,)), cfg)
         assert len(examples) == length
         units = [[Analysis("ab", EMPTY_TAG)] * (2 * window + 1)] * length
         ballots = build_ballots(length, window, units)
@@ -199,7 +199,7 @@ def test_criterion_5_decode_equivalences(monkeypatch):
     gs = next(s for s in vocab.target_symbols if s.startswith("+"))
     bad_ids = [vocab.target_id(gs), vocab.target_id(WORD_BOUNDARY)]
 
-    def malformed(model_, sources, cfg, beam_size):
+    def malformed(model_, sources, cfg):
         return [(list(bad_ids), False) for _ in sources]
 
     monkeypatch.setattr(decode_mod, "_search", malformed)

@@ -57,10 +57,11 @@ def test_stats_missing_file_is_a_data_error(capsys, tmp_path):
 
 def test_stats_malformed_corpus(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("onlyform\n\n", encoding="utf-8")
-    code, _, err = run(capsys, "stats", str(bad))
-    assert code == 2
-    assert "line" in err
+    for text, line in (("onlyform\n\n", 1), ("a\ta\t_\n \ta\t_\n", 2)):  # a blank FORM
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "stats", str(bad))
+        assert code == 2
+        assert f"line {line}:" in err
 
 
 def test_snippetize_stdout_matches_library(capsys, gold_file):
@@ -115,6 +116,23 @@ def test_config_file_errors(tmp_path, capsys, gold_file):
     assert code == 1
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys, gold_file):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfwindow = 2\r\ntc = tags\r\n")
+    code, from_config, err = run(capsys, "snippetize", gold_file, "--config", str(cfg))
+    assert code == 0, err
+    _, explicit, _ = run(capsys, "snippetize", gold_file, "--window", "2", "--tc", "tags")
+    assert from_config == explicit
+
+
+def test_config_file_not_utf8_is_a_usage_error_at_its_line(tmp_path, capsys, gold_file):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"window = 2\n# caf\xe9\n")
+    code, _, err = run(capsys, "snippetize", gold_file, "--config", str(cfg))
+    assert code == 1
+    assert f"{cfg}:2:" in err
+
+
 def test_invalid_flag_values_are_usage_errors(capsys, gold_file):
     code, _, err = run(capsys, "snippetize", gold_file, "--window", "-1")
     assert code == 1 and "error:" in err
@@ -147,11 +165,13 @@ def test_predict_empty_corpus_writes_empty_output(capsys, tmp_path):
     save_model(model, vocab, ckpt)
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")
-    out = tmp_path / "o.tsv"
+    out, flags = tmp_path / "o.tsv", tmp_path / "flags.txt"
     for extra in ((), ("--vote", "--beam", "3"), ("--mode", "full_sequence")):
-        code, _, err = run(capsys, "predict", str(ckpt), str(empty), "--out", str(out), *extra)
+        code, _, err = run(capsys, "predict", str(ckpt), str(empty), "--out", str(out),
+                           "--flags-out", str(flags), *extra)
         assert code == 0, err
         assert out.read_text(encoding="utf-8") == ""
+        assert flags.read_text(encoding="utf-8") == ""
 
 
 def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file):

@@ -105,6 +105,15 @@ def test_parse_empty_form_column():
         parse_corpus("\tlemma\tX\n")
 
 
+def test_parse_blank_form_is_an_error_at_its_line():
+    # a whitespace-only line is not a sentence break, nor a token
+    for text, mode in (("a\nb\n \nc\n", "surface_only"),
+                       ("a\ta\t_\nb\tb\t_\n \t \t_\nc\tc\t_\n", "gold")):
+        with pytest.raises(CorpusFormatError, match="blank surface form") as err:
+            parse_corpus(text, mode=mode)
+        assert err.value.line == 3
+
+
 def test_write_round_trips_sample():
     corpus = parse_corpus(SAMPLE)
     text = write_corpus(corpus)
@@ -169,8 +178,9 @@ def test_morphotag_validates_order_and_content():
 
 
 def test_token_and_sentence_invariants():
-    with pytest.raises(ValueError):
-        Token("")
+    for blank in ("", " ", "\u3000"):
+        with pytest.raises(ValueError):
+            Token(blank)
     with pytest.raises(ValueError):
         Token("a\tb")
     with pytest.raises(ValueError):

@@ -282,9 +282,11 @@ def test_beam_encodes_once_and_decodes_greedy_alongside(monkeypatch):
     assert [calls[name] for name in names] == [1, 0, 3]
 
 
-def one_source_search(model, source_ids, cfg, beam_size, step=decode_step):
+def one_source_search(model, source_ids, cfg, step=decode_step):
     """The search of one source alone, one hypothesis list per step: the
-    reference the batched search is held to."""
+    reference the batched search is held to.  Width 1 is the greedy
+    rollout alone."""
+    beam_size = cfg.beam_size if cfg.beam_size > 1 else 0
     batch = make_batch([(list(source_ids), None)])
     enc, finals = encode_source(model, batch)
     state = init_decoder_state(model, finals)
@@ -354,14 +356,12 @@ def test_batched_search_equals_one_source_search():
     for model, vocab, corpus, snip in (random_1, random_2, warm):
         sources = ragged_sources(vocab, corpus, snip, 7)
         assert len({len(s) for s in sources}) > 1
-        for beam_size in (0, 2, 3, 5):
+        for beam_size in (1, 2, 3, 5):
             for max_length in (None, 3, 9):
-                cfg = DecodeConfig(max_length=max_length)
-                batched = decode_mod._search(model, sources, cfg, beam_size)
-                assert batched == [one_source_search(model, s, cfg, beam_size)
-                                   for s in sources]
-                assert batched == [decode_mod._search(model, [s], cfg, beam_size)[0]
-                                   for s in sources]
+                cfg = DecodeConfig(beam_size=beam_size, max_length=max_length)
+                batched = decode_mod._search(model, sources, cfg)
+                assert batched == [one_source_search(model, s, cfg) for s in sources]
+                assert batched == [decode_mod._search(model, [s], cfg)[0] for s in sources]
                 checked += len(sources)
     assert checked == 3 * 4 * 3 * 7
 
@@ -371,8 +371,9 @@ def test_batched_search_and_chunks_leave_outputs_alone(monkeypatch):
     assert corpus.token_count() > decode_mod.CHUNK_SOURCES
     sources = ragged_sources(vocab, corpus, snip, decode_mod.CHUNK_SOURCES + 9)
     cfg = DecodeConfig(beam_size=2, max_length=9)
-    assert decode_mod._search(model, sources, cfg, 0) == \
-        [one_source_search(model, s, cfg, 0) for s in sources]
+    greedy = replace(cfg, beam_size=1)
+    assert decode_mod._search(model, sources, greedy) == \
+        [one_source_search(model, s, greedy) for s in sources]
     outputs = []
     for chunk in (1, 5, decode_mod.CHUNK_SOURCES):
         monkeypatch.setattr(decode_mod, "CHUNK_SOURCES", chunk)
@@ -385,8 +386,8 @@ def test_batched_beam_score_ties_go_to_smallest_ids(monkeypatch):
     sources = ragged_sources(vocab, corpus, snip, 3)
     monkeypatch.setattr(decode_mod, "decode_step", tied_decode_step)
     for beam_size in (2, 3, 5):
-        assert decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size),
-                                  beam_size) == [([5, 9], True)] * 3
+        assert decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size)) == \
+            [([5, 9], True)] * 3
 
 
 # From the start symbol 11 symbols tie, more than 2 * beam_size for beam 5,
@@ -405,15 +406,15 @@ def test_batched_beam_ties_across_the_cut_off_go_to_smallest_ids(monkeypatch):
     for beam_size in (2, 3, 5):
         assert len(WIDE_TIED_NEXT[START_ID]) > 2 * beam_size
         cfg = DecodeConfig(beam_size=beam_size)
-        batched = decode_mod._search(model, sources, cfg, beam_size)
-        assert batched == [one_source_search(model, s, cfg, beam_size, step) for s in sources]
+        batched = decode_mod._search(model, sources, cfg)
+        assert batched == [one_source_search(model, s, cfg, step) for s in sources]
         assert batched == [([6], True)] * 3
 
 
 def test_batched_search_encodes_each_chunk_once(monkeypatch):
     model, vocab, corpus, snip = setup_model()
     sources = ragged_sources(vocab, corpus, snip, 6)
-    cfg = DecodeConfig(max_length=None)
+    cfg = DecodeConfig(beam_size=3)
     calls = Counter()
 
     def counted(name, fn):
@@ -431,11 +432,11 @@ def test_batched_search_encodes_each_chunk_once(monkeypatch):
     steps = []
     for src in sources:
         calls.clear()
-        decode_mod._search(model, [src], cfg, 3)
+        decode_mod._search(model, [src], cfg)
         steps.append(calls["decode_step"])
     assert len(set(steps)) > 1  # the sources need different numbers of steps
     calls.clear()
-    decode_mod._search(model, sources, cfg, 3)
+    decode_mod._search(model, sources, cfg)
     names = ("encode_source", "forward_loss", "decode_step")
     assert [calls[name] for name in names] == [1, 0, max(steps)]
 
@@ -521,7 +522,7 @@ def test_predict_sentence_flags_malformed_units(monkeypatch):
     gs = vocab_grammeme(vocab)
     crafted = fixed_ids(vocab, [gs, WORD_BOUNDARY] * (2 * snip.window + 1))
 
-    def fake(model_, sources, cfg, beam_size):
+    def fake(model_, sources, cfg):
         return [(list(crafted), True) for _ in sources]
 
     monkeypatch.setattr(decode_mod, "_search", fake)
@@ -539,7 +540,7 @@ def test_predict_sentence_short_snippets_fall_back(monkeypatch):
     ch = vocab_letter(vocab)
     one_unit = fixed_ids(vocab, [ch, WORD_BOUNDARY])
 
-    def fake(model_, sources, cfg, beam_size):
+    def fake(model_, sources, cfg):
         return [(list(one_unit), True) for _ in sources]
 
     monkeypatch.setattr(decode_mod, "_search", fake)
@@ -557,7 +558,7 @@ def test_predict_sentence_voting_prefers_agreement(monkeypatch):
     ch = vocab_letter(vocab)
     agreed = [ch, WORD_BOUNDARY] * 3
 
-    def fake(model_, sources, cfg, beam_size):
+    def fake(model_, sources, cfg):
         return [(fixed_ids(vocab, agreed), True) for _ in sources]
 
     monkeypatch.setattr(decode_mod, "_search", fake)
@@ -572,7 +573,7 @@ def full_sequence_flags(monkeypatch, symbols, finished=True):
     model, vocab, corpus, _ = setup_model()
     sent = corpus.sentences[0]
 
-    def fake(model_, sources, cfg, beam_size):
+    def fake(model_, sources, cfg):
         return [(fixed_ids(vocab, symbols), finished) for _ in sources]
 
     monkeypatch.setattr(decode_mod, "_search", fake)

@@ -8,8 +8,7 @@ from lemtag.conllu import Analysis, Corpus, MorphoTag, Sentence, Token, parse_co
 from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
                              START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
                              SEQUENCE_START, UNKNOWN, WORD_BOUNDARY, SnippetConfig,
-                             Vocab, build_full_sequence_example, build_vocab,
-                             build_window_examples, encode,
+                             Vocab, build_vocab, encode,
                              examples_for_corpus, format_example,
                              grammeme_symbol, is_grammeme_symbol,
                              tokenize_analysis, tokenize_surface, window_span)
@@ -21,6 +20,14 @@ def _sentence():
         Token("are", gold=Analysis("be", MorphoTag(("aux", "prs")))),
         Token("flying", gold=Analysis("fly", MorphoTag(("prog", "v")))),
     ))
+
+
+FULL = SnippetConfig(mode="full_sequence")
+
+
+def sentence_examples(sentence, cfg):
+    """The examples of a one-sentence corpus."""
+    return examples_for_corpus(Corpus((sentence,)), cfg)
 
 
 def test_control_symbols_fixed_ids():
@@ -45,7 +52,7 @@ def test_tokenizers():
 
 
 def test_full_sequence_example():
-    ex = build_full_sequence_example(_sentence())
+    ex, = sentence_examples(_sentence(), FULL)
     assert ex.source == ("B", "a", "t", "s", WORD_BOUNDARY,
                          "a", "r", "e", WORD_BOUNDARY,
                          "f", "l", "y", "i", "n", "g", WORD_BOUNDARY)
@@ -57,13 +64,13 @@ def test_full_sequence_example():
 
 def test_full_sequence_without_gold_has_no_target():
     sent = Sentence((Token("a"), Token("b")))
-    ex = build_full_sequence_example(sent)
+    ex, = sentence_examples(sent, FULL)
     assert ex.target is None
 
 
 def test_window_examples_count_and_focus():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="both")
-    examples = build_window_examples(_sentence(), cfg)
+    examples = sentence_examples(_sentence(), cfg)
     assert len(examples) == 3
     assert [e.focal_index for e in examples] == [0, 1, 2]
     # middle snippet sees all three words on the source side
@@ -84,7 +91,7 @@ def test_window_target_context_variants():
     by_mode = {}
     for tc in ("none", "lemmata", "tags", "both", "surface"):
         cfg = SnippetConfig(mode="context_window", window=1, tc_mode=tc)
-        by_mode[tc] = build_window_examples(sent, cfg)[1].target
+        by_mode[tc] = sentence_examples(sent, cfg)[1].target
 
     assert by_mode["none"] == tuple(focal_unit)
     assert by_mode["both"] == tuple(left_full + focal_unit + right_full)
@@ -103,17 +110,11 @@ def test_focal_span_points_at_focal_unit():
         for w in (0, 1, 2):
             cfg = SnippetConfig(mode="context_window", window=w, tc_mode=tc)
             for sent in corpus:
-                for ex in build_window_examples(sent, cfg):
+                for ex in sentence_examples(sent, cfg):
                     lo, hi = ex.focal_span
                     unit = ex.target[lo:hi]
                     gold = sent.tokens[ex.focal_index].gold
                     assert unit == tuple(tokenize_analysis(gold))
-
-
-def test_window_examples_need_context_window_mode():
-    cfg = SnippetConfig(mode="full_sequence")
-    with pytest.raises(ValueError):
-        build_window_examples(_sentence(), cfg)
 
 
 def test_snippet_config_validation():
@@ -147,7 +148,7 @@ def test_overlap_law_small_cases():
 
 def test_vocab_orders_controls_first_and_sorts_rest():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="both")
-    examples = build_window_examples(_sentence(), cfg)
+    examples = sentence_examples(_sentence(), cfg)
     vocab = build_vocab(examples)
     assert vocab.source_symbols[:5] == CONTROL_SYMBOLS
     assert vocab.target_symbols[:5] == CONTROL_SYMBOLS
@@ -158,8 +159,7 @@ def test_vocab_orders_controls_first_and_sorts_rest():
 
 
 def test_vocab_min_freq_filters():
-    cfg = SnippetConfig(mode="full_sequence")
-    examples = [build_full_sequence_example(_sentence())]
+    examples = sentence_examples(_sentence(), FULL)
     vocab1 = build_vocab(examples, min_freq=1)
     vocab2 = build_vocab(examples, min_freq=2)
     assert vocab2.source_size < vocab1.source_size
@@ -170,7 +170,7 @@ def test_vocab_min_freq_filters():
 
 @pytest.mark.parametrize("min_freq", [0, 1.5, True])
 def test_vocab_rejects_bad_min_freq(min_freq):
-    examples = [build_full_sequence_example(_sentence())]
+    examples = sentence_examples(_sentence(), FULL)
     with pytest.raises(ValueError, match="min_freq must be an integer >= 1"):
         build_vocab(examples, min_freq=min_freq)
     with pytest.raises(ValueError, match="min_freq"):
@@ -194,7 +194,7 @@ def test_vocab_requires_control_prefix():
 
 def test_encode_frames_target():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="none")
-    examples = build_window_examples(_sentence(), cfg)
+    examples = sentence_examples(_sentence(), cfg)
     vocab = build_vocab(examples)
     src, tgt = encode(examples[0], vocab)
     assert tgt[0] == START_ID and tgt[-1] == END_ID
@@ -205,7 +205,7 @@ def test_encode_frames_target():
 
 def test_encode_unknown_symbols_to_unk():
     cfg = SnippetConfig(mode="context_window", window=0, tc_mode="none")
-    examples = build_window_examples(_sentence(), cfg)
+    examples = sentence_examples(_sentence(), cfg)
     vocab = build_vocab(examples[:1])  # only knows the first word
     src, _ = encode(examples[2], vocab)
     assert UNK_ID in src
@@ -213,7 +213,7 @@ def test_encode_unknown_symbols_to_unk():
 
 def test_format_example_round_readable():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="none")
-    ex = build_window_examples(_sentence(), cfg)[0]
+    ex = sentence_examples(_sentence(), cfg)[0]
     line = format_example(ex)
     src_text, tgt_text = line.split("\t")
     assert tuple(src_text.split(" ")) == ex.source
@@ -227,7 +227,7 @@ def test_window_examples_random_lengths_emit_one_per_token():
         window = int(rng.integers(0, 4))
         tokens = tuple(Token("ab", gold=Analysis("a")) for _ in range(length))
         cfg = SnippetConfig(mode="context_window", window=window, tc_mode="both")
-        examples = build_window_examples(Sentence(tokens), cfg)
+        examples = sentence_examples(Sentence(tokens), cfg)
         assert len(examples) == length
         for i, ex in enumerate(examples):
             lo = max(0, i - window)
