@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
-import os
 import sys
-from dataclasses import asdict
 
 from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
                      read_text_file, write_corpus)
@@ -44,10 +41,11 @@ def _parse_bool(raw):
 
 
 def _parse_optional(cast):
-    """``cast``, or None for "none"; argparse errors name the parser."""
+    """``cast``, or None for "none"; named after ``cast``, as argparse
+    errors name the parser ("invalid int value")."""
     def parse(raw):
         return None if raw.strip().lower() == "none" else cast(raw)
-    parse.__name__ = f"_parse_optional_{cast.__name__}"
+    parse.__name__ = cast.__name__
     return parse
 
 
@@ -193,15 +191,7 @@ def run_train(args):
         ModelConfig, s, source_vocab_size=vocab.source_size,
         target_vocab_size=vocab.target_size, rng_seed=s["seed"])
     model = init_model(model_cfg)
-    best_model, report = train(model, examples, dev_corpus, vocab, snip_cfg, train_cfg)
-
-    report_path = os.path.join(args.checkpoint_dir, "train_report.json")
-    payload = {
-        "selection_metric": report.selection_metric,
-        "selected_step": report.selected_step,
-        "checkpoints": [asdict(r) for r in report.checkpoints],
-    }
-    _write_text(report_path, json.dumps(payload, indent=2) + "\n")
+    _, report = train(model, examples, dev_corpus, vocab, snip_cfg, train_cfg)
     best = next(r for r in report.checkpoints if r.step == report.selected_step)
     print(f"selected step {report.selected_step}")
     for key, value in best.dev_metrics.items():

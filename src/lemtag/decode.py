@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
-from .model import (Model, _log_softmax, decode_step, encode_source,
+from .model import (Model, _log_softmax, check_vocab, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
                        GRAMMEME_PREFIX, SnippetConfig, Vocab, check_integer,
@@ -53,12 +52,6 @@ class DecodeConfig:
         if self.max_length is not None:
             return self.max_length
         return 2 * source_length + 16
-
-
-def _check_vocab(model: Model, vocab: Vocab):
-    if (model.config.source_vocab_size != vocab.source_size
-            or model.config.target_vocab_size != vocab.target_size):
-        raise ValueError("model and vocabulary sizes disagree")
 
 
 class _Source:
@@ -202,7 +195,7 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
 def beam_decode(model: Model, source_ids, vocab: Vocab,
                 cfg: DecodeConfig | None = None) -> list[str]:
     """Beam-search output as target symbols, start/end stripped."""
-    _check_vocab(model, vocab)
+    check_vocab(model.config, vocab)
     ids, _ = beam_ids(model, source_ids, cfg or DecodeConfig())
     return [vocab.target_symbol(i) for i in ids]
 
@@ -303,14 +296,11 @@ def majority_vote(ballot):
     the lower snippet index."""
     if not ballot:
         raise ValueError("empty ballot")
-    counts = Counter(analysis for analysis, _, _ in ballot)
-    ranked = []
-    for analysis, count in counts.items():
-        dist = min(d for a, d, _ in ballot if a == analysis)
-        idx = min(s for a, _, s in ballot if a == analysis)
-        ranked.append((-count, dist, idx, analysis))
-    ranked.sort(key=lambda r: r[:3])
-    return ranked[0][3]
+    ranks = {}  # analysis -> (-count, nearest distance, lowest index)
+    for analysis, dist, idx in ballot:
+        count, nearest, lowest = ranks.get(analysis, (0, dist, idx))
+        ranks[analysis] = (count - 1, min(nearest, dist), min(lowest, idx))
+    return min(ranks, key=ranks.get)  # the first-seen analysis wins a full tie
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +362,7 @@ def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
     search per chunk of ``CHUNK_SOURCES`` examples of similar length, and
     the decodes are grouped back by their example's sentence.
     """
-    _check_vocab(model, vocab)
+    check_vocab(model.config, vocab)
     if voting and snippet_cfg.mode != "context_window":
         raise ValueError("voting requires context_window mode")
     examples = examples_for_corpus(corpus, snippet_cfg)

@@ -116,8 +116,8 @@ class Batch:
     """Padded id matrices with masks.
 
     ``src`` is (B, S) and ``tgt`` (B, T) with targets already framed by the
-    start/end ids; ``src_mask`` is (B, S) and ``loss_mask`` (B, T-1), zero
-    exactly on padding.
+    start/end ids; ``src_mask`` is (B, S) and ``loss_mask`` (B, T-1), boolean
+    masks that are False exactly on padding.
     """
 
     src: np.ndarray
@@ -131,12 +131,12 @@ class Batch:
 
 
 def _pad(seqs):
-    """(B, longest) id matrix padded with PAD_ID, and its 0/1 float mask."""
+    """(B, longest) id matrix padded with PAD_ID, and its boolean mask."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     ids = np.full((len(seqs), lengths.max()), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, :len(s)] = s
-    return ids, (np.arange(ids.shape[1])[None, :] < lengths[:, None]).astype(np.float64)
+    return ids, np.arange(ids.shape[1])[None, :] < lengths[:, None]
 
 
 def make_batch(pairs) -> Batch:
@@ -209,7 +209,7 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
     for t in order:
         h_prev[:, t, :] = h
         h_new, c_new, gates = _lstm_step(xw[:, t, :], Wh, b, h, c)
-        m = mask[:, t][:, None] > 0
+        m = mask[:, t][:, None]
         trace.append((t, c, m, *gates))
         h = np.where(m, h_new, h)
         c = np.where(m, c_new, c)
@@ -252,7 +252,7 @@ def _dropout_mask(rng, shape, p):
     """A scaled keep mask, or None when not training (no ``rng``) or ``p`` is 0."""
     if rng is None or p == 0:
         return None
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def _check_ids(ids, size, what):
@@ -365,11 +365,11 @@ def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
     intermediate values (weights (B, T, S), context (B, T, 2H), ...).
     """
     p = model.params
-    if not (source_mask > 0).any(axis=1).all():
+    if not source_mask.any(axis=1).all():
         raise ValueError("attention over fully masked source")
     proj = decoder_states @ p["attn_W"]
     scores = proj @ encoder_states.transpose(0, 2, 1)
-    scores = np.where(source_mask[:, None, :] > 0, scores, -np.inf)
+    scores = np.where(source_mask[:, None, :], scores, -np.inf)
     weights = _softmax(scores)
     context = weights @ encoder_states
     combined = np.concatenate([context, decoder_states], axis=2)
@@ -507,10 +507,10 @@ def backward(model, batch, rng=None):
 def sgd_update(model, grads, lr, clip_norm=None):
     """Clip gradients to a global norm (``clip_norm`` None for no
     clipping), then take one SGD step in place."""
-    if not lr > 0:
-        raise ValueError("learning rate must be positive")
-    if clip_norm is not None and not clip_norm > 0:
-        raise ValueError("clip_norm must be None or positive")
+    if not 0 < lr < np.inf:
+        raise ValueError("learning rate must be positive and finite")
+    if clip_norm is not None and not 0 < clip_norm < np.inf:
+        raise ValueError("clip_norm must be positive and finite, or None")
     sq = 0.0
     for g in grads.values():
         sq += float((g * g).sum())
@@ -530,8 +530,15 @@ def sgd_update(model, grads, lr, clip_norm=None):
 # persistence
 
 
+def check_vocab(cfg: ModelConfig, vocab: Vocab):
+    """Raise ValueError unless the model's symbol table sizes are the vocabulary's."""
+    if cfg.source_vocab_size != vocab.source_size or cfg.target_vocab_size != vocab.target_size:
+        raise ValueError("model and vocabulary sizes disagree")
+
+
 def save_model(model: Model, vocab: Vocab, path):
     """Write a versioned checkpoint: header, float32 tensors, CRC32 trailer."""
+    check_vocab(model.config, vocab)
     header = json.dumps({
         "config": asdict(model.config),
         "source_symbols": list(vocab.source_symbols),
@@ -567,10 +574,9 @@ def load_model(path, expect_vocab: Vocab | None = None):
         header = json.loads(str(blob[16:16 + header_len], "utf-8"))
         cfg = ModelConfig(**header["config"])
         vocab = Vocab(header["source_symbols"], header["target_symbols"], header["min_freq"])
+        check_vocab(cfg, vocab)
     except (KeyError, TypeError, ValueError, UnicodeDecodeError) as err:
         raise CheckpointError(f"malformed checkpoint header: {err}") from None
-    if cfg.source_vocab_size != vocab.source_size or cfg.target_vocab_size != vocab.target_size:
-        raise CheckpointError("checkpoint config and stored vocabulary disagree")
     if expect_vocab is not None and expect_vocab != vocab:
         raise CheckpointError("checkpoint vocabulary does not match the provided one")
     params = {}

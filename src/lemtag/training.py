@@ -5,6 +5,7 @@ periodic checkpoints, and dev-set model selection.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 from .conllu import Corpus
 from .decode import DecodeConfig, predict_corpus
 from .metrics import evaluate
-from .model import Model, backward, load_model, make_batch, save_model, sgd_update
+from .model import Model, backward, check_vocab, load_model, make_batch, save_model, sgd_update
 from .snippets import SnippetConfig, Vocab, check_integer, encode
 
 SELECTION_METRICS = ("analysis_accuracy", "lemma_accuracy", "tag_accuracy")
@@ -126,9 +127,11 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
     maximizing the selection metric (ties to the earliest step) is reloaded
     from disk and returned.  Unless retain_all is set, only the selected
     and final checkpoints are kept, and "best.ckpt" links to the winner.
+    The directory also gets "training.log" and "train_report.json".
     """
     if cfg.checkpoint_dir is None:
         raise ValueError("cfg.checkpoint_dir is required")
+    check_vocab(model.config, vocab)
     if not train_examples:
         raise ValueError("no training examples")
     encoded = []
@@ -184,4 +187,11 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
         os.remove(link)
     os.symlink(os.path.basename(checkpoint_path(cfg.checkpoint_dir, selected)), link)
     report = TrainReport(tuple(records), selected, cfg.selection_metric)
+    payload = {
+        "selection_metric": report.selection_metric,
+        "selected_step": report.selected_step,
+        "checkpoints": [asdict(r) for r in report.checkpoints],
+    }
+    with open(os.path.join(cfg.checkpoint_dir, "train_report.json"), "w", encoding="utf-8") as f:
+        f.write(json.dumps(payload, indent=2) + "\n")
     return best_model, report

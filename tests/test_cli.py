@@ -142,6 +142,15 @@ def test_invalid_flag_values_are_usage_errors(capsys, gold_file):
     assert code == 1
 
 
+def test_optional_number_flags_name_their_type(capsys, tmp_path):
+    code, _, err = run(capsys, "predict", str(tmp_path / "no.ckpt"), str(tmp_path / "no.tsv"),
+                       "--out", str(tmp_path / "o.tsv"), "--max-length", "abc")
+    assert code == 1 and "argument --max-length: invalid int value: 'abc'" in err
+    code, _, err = run(capsys, "train", str(tmp_path / "no.tsv"), str(tmp_path / "no.tsv"),
+                       "--checkpoint-dir", str(tmp_path / "run"), "--clip-norm", "x")
+    assert code == 1 and "argument --clip-norm: invalid float value: 'x'" in err
+
+
 def test_vote_needs_context_window_before_any_file_access(capsys, tmp_path):
     code, _, err = run(capsys, "predict", str(tmp_path / "no.ckpt"),
                        str(tmp_path / "no.tsv"), "--out", str(tmp_path / "o.tsv"),
@@ -194,9 +203,10 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("min_freq", lambda min_freq: "x"),
     ("min_freq", lambda min_freq: 1.5),
     ("min_freq", lambda min_freq: None),
+    ("config", lambda config: dict(config, source_vocab_size=config["source_vocab_size"] + 1)),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
         "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
-        "text-min-freq", "float-min-freq", "null-min-freq"])
+        "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,
                                                             edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))

@@ -144,6 +144,17 @@ def test_vote_full_tie_prefers_lower_snippet_index():
     assert majority_vote([(a, 1, 1), (b, 1, 0)]) == b
 
 
+def test_vote_count_tie_takes_lowest_index_of_all_entries():
+    # token 2 of 5, window 2: A and B each get two votes at nearest distance
+    # 1; A's entries have indices 3 and 0, B's 1 and 4, so A wins on its
+    # lowest index, where the nearest single entry (B, 1, 1) would pick B
+    a, b, c = analysis("cat", "N"), analysis("cut", "V"), analysis("cot")
+    per_snippet = [a, b, c, a, b]
+    ballot = build_ballots(5, 2, [[got] * 5 for got in per_snippet])[2]
+    assert sorted((d, j) for _, d, j in ballot) == [(0, 2), (1, 1), (1, 3), (2, 0), (2, 4)]
+    assert majority_vote(ballot) == a
+
+
 def test_vote_is_order_invariant():
     a, b, c = analysis("cat", "N"), analysis("cut", "V"), analysis("cot")
     ballot = [(a, 1, 0), (b, 0, 1), (a, 1, 2), (c, 2, 3), (b, 2, 4)]

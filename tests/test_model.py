@@ -84,6 +84,7 @@ def test_make_batch_padding_and_masks():
     assert batch.src_mask.tolist() == [[1, 1, 0, 0], [1, 1, 1, 1]]
     assert batch.tgt.shape == (2, 4)
     assert batch.loss_mask.tolist() == [[1, 1, 0], [1, 1, 1]]
+    assert batch.src_mask.dtype == batch.loss_mask.dtype == bool
     assert batch.size == 2
 
 
@@ -425,16 +426,27 @@ def test_sgd_clipping_rescales():
 
 def test_sgd_rejects_non_finite():
     m = init_model(tiny_config())
-    grads = zero_grads(m)
-    with pytest.raises(ValueError, match="learning rate"):
-        sgd_update(m, grads, lr=float("nan"))
-    # a NaN, zero or negative clip norm used to switch clipping off silently
-    for clip_norm in (float("nan"), 0.0, -1.0):
+    before = m.copy()
+    grads = {k: np.ones_like(v) for k, v in m.params.items()}
+
+    def assert_unchanged():
+        for name in before.params:
+            assert np.array_equal(m.params[name], before.params[name]), name
+
+    # an infinite rate used to write NaN weights with only a RuntimeWarning
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate"):
+            sgd_update(m, grads, lr=lr)
+        assert_unchanged()
+    # a NaN, zero, negative or infinite clip norm used to switch clipping off silently
+    for clip_norm in (float("nan"), 0.0, -1.0, float("inf")):
         with pytest.raises(ValueError, match="clip_norm"):
             sgd_update(m, grads, lr=1.0, clip_norm=clip_norm)
+        assert_unchanged()
     grads["out_b"][0] = np.nan
     with pytest.raises(ValueError):
         sgd_update(m, grads, lr=1.0, clip_norm=5.0)
+    assert_unchanged()
 
 
 def test_clipped_sgd_matches_subtract_then_snap():
@@ -516,6 +528,14 @@ def test_checkpoint_vocab_mismatch(tmp_path):
     other = Vocab(vocab.source_symbols, CONTROL_SYMBOLS + ("x",) + vocab.target_symbols[6:], 1)
     with pytest.raises(CheckpointError):
         load_model(path, expect_vocab=other)
+
+
+def test_save_model_rejects_a_vocabulary_that_does_not_fit(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model = init_model(tiny_config(source_vocab_size=14, target_vocab_size=14))
+    with pytest.raises(ValueError, match="model and vocabulary sizes disagree"):
+        save_model(model, tiny_vocab(tiny_config()), path)
+    assert not path.exists()
 
 
 def test_checkpoint_not_a_checkpoint(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -163,6 +164,20 @@ def test_train_validates_inputs(tmp_path):
         train(model, stripped, corpus, vocab, snip, cfg)
 
 
+def test_train_rejects_a_model_that_does_not_fit_the_vocabulary(tmp_path):
+    corpus, snip, examples, vocab, _ = micro_setup(2)
+    model = init_model(ModelConfig(source_vocab_size=vocab.source_size + 3,
+                                   target_vocab_size=vocab.target_size + 2,
+                                   embedding_size=8, hidden_units=12, layers=1,
+                                   dropout_p=0.0))
+    run_dir = tmp_path / "run"
+    cfg = TrainConfig(total_steps=2, checkpoint_every=2, batch_size=4,
+                      checkpoint_dir=str(run_dir))
+    with pytest.raises(ValueError, match="model and vocabulary sizes disagree"):
+        train(model, examples, corpus, vocab, snip, cfg)
+    assert not run_dir.exists()  # refused before any step or checkpoint
+
+
 def test_train_micro_run_artifacts(tmp_path):
     corpus, snip, examples, vocab, model = micro_setup(8)
     run_dir = tmp_path / "run"
@@ -185,6 +200,9 @@ def test_train_micro_run_artifacts(tmp_path):
     expected = sorted({f"step_{report.selected_step:06d}.ckpt", "step_000060.ckpt"})
     assert kept == expected
     assert (run_dir / "training.log").exists()
+    written = json.loads((run_dir / "train_report.json").read_text(encoding="utf-8"))
+    assert TrainReport(tuple(CheckpointRecord(**r) for r in written["checkpoints"]),
+                       written["selected_step"], written["selection_metric"]) == report
     reloaded, _ = load_model(str(link), expect_vocab=vocab)
     for name in best.params:
         assert np.array_equal(best.params[name], reloaded.params[name])
