@@ -154,20 +154,13 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
         if line.startswith("#"):
             continue
         cols = line.split("\t")
-        if mode == "gold":
-            if len(cols) < 3:
-                raise CorpusFormatError(
-                    f"expected at least 3 tab-separated columns, got {len(cols)}",
-                    lineno,
-                )
-            try:
-                tag = normalize_tag(cols[2])
-            except CorpusFormatError as err:
-                raise CorpusFormatError(str(err), lineno) from None
-            gold = Analysis(cols[1], tag)
-        else:
-            gold = None
+        if mode == "gold" and len(cols) < 3:
+            raise CorpusFormatError(
+                f"expected at least 3 tab-separated columns, got {len(cols)}",
+                lineno,
+            )
         try:
+            gold = Analysis(cols[1], normalize_tag(cols[2])) if mode == "gold" else None
             tokens.append(Token(cols[0], gold))
         except ValueError as err:
             raise CorpusFormatError(str(err), lineno) from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
-from .model import (Model, _log_softmax, check_vocab, decode_step, encode_source,
+from .model import (Model, _softmax, check_vocab, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
                        GRAMMEME_PREFIX, SnippetConfig, Vocab, check_integer,
@@ -108,7 +108,7 @@ def _search(model: Model, sources, cfg: DecodeConfig):
         greedy_logits[:, [PAD_ID, START_ID]] = -np.inf
         greedy_next = greedy_logits.argmax(axis=1)
         if beam_size:
-            logp = _log_softmax(logits).reshape(len(live), width, vocab_size)
+            logp = _softmax(logits)[1].reshape(len(live), width, vocab_size)
             logp[:, :, [PAD_ID, START_ID]] = -np.inf
             greedy_logp = logp[np.arange(len(live)), beam_size, greedy_next].tolist()
             scores = np.full((len(live), beam_size), -np.inf)

@@ -165,15 +165,12 @@ def _sigmoid(x):
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _log_softmax(logits):
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-
-
 def _softmax(logits):
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Probabilities and log-probabilities over the last axis, from one exp."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
 
 
 def _lstm_step(xw, Wh, b, h, c):
@@ -249,9 +246,9 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
 
 
 def _dropout_mask(rng, shape, p):
-    """A scaled keep mask, or None when not training (no ``rng``) or ``p`` is 0."""
+    """A scaled keep mask, or 1.0 when not training (no ``rng``) or ``p`` is 0."""
     if rng is None or p == 0:
-        return None
+        return 1.0
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
@@ -281,9 +278,8 @@ def _stack_forward(model, stack, inputs, mask, init, rng):
     finals = []
     caches = []
     for layer in range(cfg.layers):
-        drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p) if layer > 0 else None
-        if drop is not None:
-            inputs = inputs * drop
+        drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p) if layer > 0 else 1.0
+        inputs = inputs * drop
         if stack == "enc":
             zero = np.zeros((len(inputs), cfg.hidden_units))
             directions = [(f"enc{layer}_fwd", False, zero, zero),
@@ -303,6 +299,17 @@ def _stack_forward(model, stack, inputs, mask, init, rng):
     return inputs, finals, caches
 
 
+def _encode(model, batch, rng):
+    """Check the source ids, embed them and run the "enc" stack, with
+    dropout when ``rng`` is given.  Returns the per-position states
+    (B, S, 2*hidden), zero on padding, each layer's final (h, c), each
+    (B, 2*hidden), and the stack cache."""
+    _check_ids(batch.src, model.config.source_vocab_size, "source")
+    out, finals, caches = _stack_forward(
+        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, rng)
+    return out * batch.src_mask[:, :, None], finals, caches
+
+
 def _forward(model, batch, rng):
     """Full teacher-forced pass, with dropout when ``rng`` is given;
     returns loss and a cache for backward."""
@@ -313,29 +320,25 @@ def _forward(model, batch, rng):
         raise ValueError("empty loss mask")
     cfg = model.config
     _check_ids(batch.tgt, cfg.target_vocab_size, "target")  # inputs and gold ids
-    _check_ids(batch.src, cfg.source_vocab_size, "source")
-    p = model.params
-    enc_out, finals, enc_caches = _stack_forward(
-        model, "enc", p["src_embed"][batch.src], batch.src_mask, None, rng)
-    enc_states = enc_out * batch.src_mask[:, :, None]
+    enc_states, finals, enc_caches = _encode(model, batch, rng)
     # padded target positions carry zero loss weight, so the mask that
     # freezes the decoder there changes neither the loss nor a gradient
     tgt_in = batch.tgt[:, :-1]
     dec_out, _, dec_caches = _stack_forward(
-        model, "dec", p["tgt_embed"][tgt_in], batch.loss_mask,
+        model, "dec", model.params["tgt_embed"][tgt_in], batch.loss_mask,
         init_decoder_state(model, finals), rng)
     out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
     logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
     gold = batch.tgt[:, 1:]
-    log_probs = _log_softmax(logits)
+    probs, log_probs = _softmax(logits)
     nll = -np.take_along_axis(log_probs, gold[:, :, None], axis=2)[:, :, 0]
     loss = float((nll * batch.loss_mask).sum() / n_tokens)
 
     cache = dict(
         enc_states=enc_states, finals=finals, enc_caches=enc_caches,
         tgt_in=tgt_in, dec_out=dec_out, dec_caches=dec_caches,
-        logits=logits, gold=gold, n_tokens=n_tokens, **att,
+        probs=probs, gold=gold, n_tokens=n_tokens, **att,
     )
     return loss, cache
 
@@ -350,18 +353,16 @@ def forward_loss(model, batch) -> float:
 def encode_source(model, batch):
     """Per-position encoder states (B, S, 2*hidden) plus per-layer final
     (h, c), each (B, 2*hidden)."""
-    _check_ids(batch.src, model.config.source_vocab_size, "source")
-    out, finals, _ = _stack_forward(
-        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, None)
-    return out * batch.src_mask[:, :, None], finals
+    states, finals, _ = _encode(model, batch, None)
+    return states, finals
 
 
-def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
+def attend(model, decoder_states, encoder_states, source_mask, out_drop=1.0):
     """Bilinear attention, tanh combination and output projection.
 
     Takes decoder states (B, T, H), encoder states (B, S, 2H) and the
-    source mask (B, S); ``out_drop`` is an optional dropout mask on the
-    combined states.  Returns logits (B, T, V) and a dict of the
+    source mask (B, S); ``out_drop`` is the dropout mask on the combined
+    states (1.0 for none).  Returns logits (B, T, V) and a dict of the
     intermediate values (weights (B, T, S), context (B, T, 2H), ...).
     """
     p = model.params
@@ -370,11 +371,11 @@ def attend(model, decoder_states, encoder_states, source_mask, out_drop=None):
     proj = decoder_states @ p["attn_W"]
     scores = proj @ encoder_states.transpose(0, 2, 1)
     scores = np.where(source_mask[:, None, :], scores, -np.inf)
-    weights = _softmax(scores)
+    weights, _ = _softmax(scores)
     context = weights @ encoder_states
     combined = np.concatenate([context, decoder_states], axis=2)
     tilde = np.tanh(combined @ p["combo_W"])
-    tilde_d = tilde if out_drop is None else tilde * out_drop
+    tilde_d = tilde * out_drop
     logits = tilde_d @ p["out_W"] + p["out_b"]
     return logits, dict(proj=proj, weights=weights, context=context, combined=combined,
                         tilde=tilde, out_drop=out_drop, tilde_d=tilde_d)
@@ -434,9 +435,7 @@ def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
             grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = dWx, dWh, db
             d_inputs.append(d_in)
             d_init[layer].append((dh0, dc0))
-        d_outputs = sum(d_inputs[1:], d_inputs[0])
-        if drop is not None:
-            d_outputs = d_outputs * drop
+        d_outputs = sum(d_inputs[1:], d_inputs[0]) * drop
     return d_outputs, d_init
 
 
@@ -454,8 +453,9 @@ def backward(model, batch, rng=None):
     loss, cache = _forward(model, batch, rng)
     grads = {}
 
-    # cross-entropy -> logits
-    d_logits = _softmax(cache["logits"])
+    # cross-entropy -> logits: probabilities minus the one-hot gold, in
+    # place, as nothing reads the cache after this
+    d_logits = cache["probs"]
     np.subtract.at(d_logits.reshape(-1, cfg.target_vocab_size),
                    (np.arange(cache["gold"].size), cache["gold"].ravel()), 1.0)
     d_logits *= (batch.loss_mask / cache["n_tokens"])[:, :, None]
@@ -465,9 +465,7 @@ def backward(model, batch, rng=None):
     flat = lambda a: a.reshape(-1, a.shape[-1])
     grads["out_W"] = flat(tilde_d).T @ flat(d_logits)
     grads["out_b"] = d_logits.sum(axis=(0, 1))
-    d_tilde = d_logits @ p["out_W"].T
-    if cache["out_drop"] is not None:
-        d_tilde = d_tilde * cache["out_drop"]
+    d_tilde = d_logits @ p["out_W"].T * cache["out_drop"]
     d_pre = d_tilde * (1.0 - cache["tilde"] ** 2)
     grads["combo_W"] = flat(cache["combined"]).T @ flat(d_pre)
     d_combined = d_pre @ p["combo_W"].T

@@ -127,13 +127,18 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
     maximizing the selection metric (ties to the earliest step) is reloaded
     from disk and returned.  Unless retain_all is set, only the selected
     and final checkpoints are kept, and "best.ckpt" links to the winner.
-    The directory also gets "training.log" and "train_report.json".
+    The directory also gets "training.log" and "train_report.json"; it
+    must be empty or not exist yet, so that it holds one run only.
     """
     if cfg.checkpoint_dir is None:
         raise ValueError("cfg.checkpoint_dir is required")
+    if os.path.isdir(cfg.checkpoint_dir) and os.listdir(cfg.checkpoint_dir):
+        raise ValueError(f"checkpoint directory {cfg.checkpoint_dir!r} is not empty")
     check_vocab(model.config, vocab)
     if not train_examples:
         raise ValueError("no training examples")
+    if not dev_corpus.sentences:
+        raise ValueError("empty dev corpus")
     encoded = []
     for example in train_examples:
         src, tgt = encode(example, vocab)
@@ -179,13 +184,9 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
         keep = {selected, records[-1].step}
         for record in records:
             if record.step not in keep:
-                path = checkpoint_path(cfg.checkpoint_dir, record.step)
-                if os.path.exists(path):
-                    os.remove(path)
-    link = os.path.join(cfg.checkpoint_dir, "best.ckpt")
-    if os.path.islink(link) or os.path.exists(link):
-        os.remove(link)
-    os.symlink(os.path.basename(checkpoint_path(cfg.checkpoint_dir, selected)), link)
+                os.remove(checkpoint_path(cfg.checkpoint_dir, record.step))
+    os.symlink(os.path.basename(checkpoint_path(cfg.checkpoint_dir, selected)),
+               os.path.join(cfg.checkpoint_dir, "best.ckpt"))
     report = TrainReport(tuple(records), selected, cfg.selection_metric)
     payload = {
         "selection_metric": report.selection_metric,

@@ -57,7 +57,8 @@ def test_stats_missing_file_is_a_data_error(capsys, tmp_path):
 
 def test_stats_malformed_corpus(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
-    for text, line in (("onlyform\n\n", 1), ("a\ta\t_\n \ta\t_\n", 2)):  # a blank FORM
+    for text, line in (("onlyform\n\n", 1), ("a\ta\t_\n \ta\t_\n", 2),  # a blank FORM
+                       ("a\ta\tN; PL\n", 1)):  # a grammeme holding a space
         bad.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "stats", str(bad))
         assert code == 2
@@ -249,6 +250,17 @@ def test_train_rejects_uneven_checkpoint_interval(capsys, tmp_path, gold_file):
                        "--steps", "5", "--checkpoint-every", "2")
     assert code == 1
     assert "divide" in err
+
+
+def test_train_rejects_an_empty_dev_corpus(capsys, tmp_path, gold_file):
+    empty = tmp_path / "dev.tsv"
+    empty.write_text("", encoding="utf-8")
+    code, _, err = run(capsys, "train", gold_file, str(empty),
+                       "--checkpoint-dir", str(tmp_path / "run"),
+                       "--steps", "2", "--checkpoint-every", "2")
+    assert code == 3
+    assert "empty dev corpus" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_min_freq_below_one(capsys, tmp_path, gold_file):

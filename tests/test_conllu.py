@@ -114,6 +114,13 @@ def test_parse_blank_form_is_an_error_at_its_line():
         assert err.value.line == 3
 
 
+def test_grammeme_with_a_space_is_an_error_at_its_line():
+    with pytest.raises(CorpusFormatError, match="invalid grammeme ' PL'") as err:
+        parse_corpus("a\ta\tN\nb\tb\tN; PL\n")
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2: ")
+
+
 def test_write_round_trips_sample():
     corpus = parse_corpus(SAMPLE)
     text = write_corpus(corpus)

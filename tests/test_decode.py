@@ -312,7 +312,7 @@ def one_source_search(model, source_ids, cfg, step=decode_step):
         logits, state = step(model, np.array(prev), state,
                              np.repeat(enc, len(prev), axis=0),
                              np.repeat(batch.src_mask, len(prev), axis=0))
-        logp = decode_mod._log_softmax(logits)
+        _, logp = decode_mod._softmax(logits)
         logp[:, [PAD_ID, START_ID]] = -np.inf
         if greedy_live:
             row = logits[-1].copy()

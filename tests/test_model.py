@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, _lstm_backward,
-                          _lstm_forward, _lstm_step, _sigmoid, attend, backward,
+                          _lstm_forward, _lstm_step, _sigmoid, _softmax, attend, backward,
                           decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
                           make_batch, save_model, sgd_update)
@@ -210,6 +210,28 @@ def test_sigmoid_matches_select_form_bytewise():
         got, want = _sigmoid(x), where_sigmoid(x)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_softmax_matches_separate_forms_bytewise():
+    """One exp gives the bytes of e / e.sum() and of
+    x - m - log(sum(exp(x - m))), with -inf entries (masked attention) and
+    rows holding a single finite entry."""
+    rng = np.random.default_rng(0)
+    blocks = [rng.normal(scale=s, size=shape)
+              for s, shape in ((1, (3, 5)), (8, (4, 6, 13)), (30, (32, 250)))]
+    for x in blocks:
+        x[rng.random(x.shape) < 0.4] = -np.inf
+        x[..., 0] = rng.normal(size=x.shape[:-1])  # every row keeps a finite entry
+        x[0, ..., 1:] = -np.inf  # rows of one finite entry
+        x[1, ..., :-1] = -np.inf
+        x[1, ..., -1] = 7.0
+        m = x.max(axis=-1, keepdims=True)
+        e = np.exp(x - m)
+        probs, log_probs = _softmax(x)
+        assert probs.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        want = x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+        assert log_probs.tobytes() == want.tobytes()
+        assert (probs[0, ..., 0] == 1.0).all() and (log_probs[1, ..., -1] == 0.0).all()
 
 
 def test_encoder_is_direction_sensitive():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corpusgen import make_corpus
+from lemtag.conllu import Corpus
 from lemtag.model import ModelConfig, init_model, load_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from lemtag.training import (CheckpointRecord, TrainConfig,
@@ -162,6 +163,9 @@ def test_train_validates_inputs(tmp_path):
     stripped = [dataclasses.replace(examples[0], target=None)]
     with pytest.raises(ValueError):
         train(model, stripped, corpus, vocab, snip, cfg)
+    with pytest.raises(ValueError, match="empty dev corpus"):
+        train(model, examples, Corpus(()), vocab, snip, cfg)
+    assert not (tmp_path / "run").exists()  # each refused before the directory is made
 
 
 def test_train_rejects_a_model_that_does_not_fit_the_vocabulary(tmp_path):
@@ -176,6 +180,25 @@ def test_train_rejects_a_model_that_does_not_fit_the_vocabulary(tmp_path):
     with pytest.raises(ValueError, match="model and vocabulary sizes disagree"):
         train(model, examples, corpus, vocab, snip, cfg)
     assert not run_dir.exists()  # refused before any step or checkpoint
+
+
+def test_train_refuses_a_used_checkpoint_directory(tmp_path):
+    def snapshot(directory):
+        return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+                for p in directory.iterdir()}
+
+    corpus, snip, examples, vocab, model = micro_setup(4)
+    run_dir = tmp_path / "run"
+    cfg = TrainConfig(total_steps=6, checkpoint_every=2, batch_size=16,
+                      retain_all=True, checkpoint_dir=str(run_dir))
+    train(model, examples, corpus, vocab, snip, cfg)
+    first = snapshot(run_dir)
+    assert "step_000006.ckpt" in first and "best.ckpt" in first
+    _, _, _, _, fresh = micro_setup(4)
+    with pytest.raises(ValueError, match="not empty"):
+        train(fresh, examples, corpus, vocab, snip,
+              dataclasses.replace(cfg, total_steps=2, retain_all=False))
+    assert snapshot(run_dir) == first
 
 
 def test_train_micro_run_artifacts(tmp_path):
