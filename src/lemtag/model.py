@@ -8,9 +8,10 @@ vocabulary.  Everything is plain numpy with hand-written backpropagation;
 gradients are exact for the realized dropout masks and are checked against
 finite differences in the test suite.
 
-Weights are computed in float64 but kept on the float32 grid (snapped
-after init and after every update) so that the float32 checkpoint format
-round-trips bit-exactly.
+Weights are float64 kept on the float32 grid (snapped after init and
+after every update), so the float32 checkpoint format round-trips
+bit-exactly and ``predict_corpus`` decodes with an exact float32 copy:
+inference arrays take the weights' dtype, and training stays float64.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
     bsz, steps, din = inputs.shape
     x = inputs.reshape(-1, din)
     xw = (x @ Wx).reshape(bsz, steps, -1)
-    outputs = np.zeros((bsz, steps, Wh.shape[0]))
+    outputs = np.zeros((bsz, steps, Wh.shape[0]), dtype=xw.dtype)
     h_prev = np.empty_like(outputs)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     trace = []
@@ -281,7 +282,7 @@ def _stack_forward(model, stack, inputs, mask, init, rng):
         drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p) if layer > 0 else 1.0
         inputs = inputs * drop
         if stack == "enc":
-            zero = np.zeros((len(inputs), cfg.hidden_units))
+            zero = np.zeros((len(inputs), cfg.hidden_units), dtype=inputs.dtype)
             directions = [(f"enc{layer}_fwd", False, zero, zero),
                           (f"enc{layer}_bwd", True, zero, zero)]
         else:

@@ -1,15 +1,39 @@
-"""Small trained models for decode-oriented tests.
+"""Trained models for decode-oriented tests.
 
 Untrained models rarely emit the end symbol inside the length limit, so
-tests that need finished decodes train a tiny model just long enough for
-greedy rollouts on a few probe inputs to terminate.
+tests that need finished decodes either train a tiny model just long
+enough for greedy rollouts on a few probe inputs to terminate, or load
+the benchmark's trained fixture model.
 """
 
+import importlib.util
+from pathlib import Path
+
 from corpusgen import make_corpus
+from lemtag.conllu import parse_corpus
 from lemtag.decode import DecodeConfig, greedy_ids
-from lemtag.model import (ModelConfig, backward, init_model, make_batch,
-                          sgd_update)
+from lemtag.model import (ModelConfig, backward, init_model, load_model,
+                          make_batch, sgd_update)
 from lemtag.snippets import SnippetConfig, build_vocab, encode, examples_for_corpus
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fixture_job(seed=1):
+    """A predict-h64 test corpus (surface only; the same on every workload)
+    and the fixture model."""
+    corpusgen = load_perfbench("corpusgen")
+    text = corpusgen.to_text(corpusgen.make_sentences(8, seed, 2), gold=False)
+    model, vocab = load_model(PERFBENCH / "fixture" / "h64.ckpt")
+    snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
+    return model, parse_corpus(text, mode="surface_only"), vocab, snip
 
 
 def warm_model(seed=0, n_sentences=6, hidden=32, max_steps=1200, n_probes=3):

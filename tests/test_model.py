@@ -5,12 +5,15 @@ import zlib
 import numpy as np
 import pytest
 
+from corpusgen import make_corpus
+from lemtag import decode
 from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, _lstm_backward,
                           _lstm_forward, _lstm_step, _sigmoid, _softmax, attend, backward,
                           decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
                           make_batch, save_model, sgd_update)
-from lemtag.snippets import CONTROL_SYMBOLS, PAD_ID, Vocab
+from lemtag.snippets import (CONTROL_SYMBOLS, PAD_ID, SnippetConfig, Vocab, build_vocab,
+                             examples_for_corpus)
 
 
 def tiny_config(**overrides):
@@ -618,3 +621,36 @@ def test_model_copy_is_deep():
     c = m.copy()
     c.params["out_b"][0] = 123.0
     assert m.params["out_b"][0] != 123.0
+
+
+def test_float32_weights_keep_float32_through_inference(monkeypatch):
+    corpus = make_corpus(2, seed=0)
+    snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
+    vocab = build_vocab(examples_for_corpus(corpus, snip), min_freq=1)
+    cfg = tiny_config(source_vocab_size=vocab.source_size,
+                      target_vocab_size=vocab.target_size, layers=2)
+    m = init_model(cfg)
+    m32 = Model(cfg, {k: v.astype(np.float32) for k, v in m.params.items()})
+    batch = sample_batch(cfg)
+    states, finals = encode_source(m32, batch)
+    logits, new_state = decode_step(m32, batch.tgt[:, 0], init_decoder_state(m32, finals),
+                                    states, batch.src_mask)
+    attended, parts = attend(m32, new_state[-1][0][:, None, :], states, batch.src_mask)
+    arrays = [states, logits, attended, parts["weights"], parts["context"]]
+    arrays += [a for state in finals + new_state for a in state]
+    assert all(a.dtype == np.float32 for a in arrays)
+
+    # predict_corpus decodes with a float32 copy and leaves the caller's weights alone
+    before = {k: v.copy() for k, v in m.params.items()}
+    searched, real_search = [], decode._search
+
+    def spy(model, sources, decode_cfg):
+        searched.append({v.dtype for v in model.params.values()})
+        return real_search(model, sources, decode_cfg)
+
+    monkeypatch.setattr(decode, "_search", spy)
+    decode.predict_corpus(m, corpus, vocab, snip, decode.DecodeConfig(beam_size=2, max_length=4))
+    assert searched and all(dtypes == {np.dtype(np.float32)} for dtypes in searched)
+    for name, value in m.params.items():
+        assert value.dtype == np.float64
+        assert value.tobytes() == before[name].tobytes()

@@ -4,27 +4,17 @@ argument the tracer reads and the predicted bytes in step with the package."""
 
 import hashlib
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
 from lemtag import decode
 from lemtag.conllu import Corpus, parse_corpus, write_corpus
 from lemtag.decode import DecodeConfig, predict_corpus
-from lemtag.model import ModelConfig, init_model, load_model
+from lemtag.model import ModelConfig, init_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from lemtag.training import TrainConfig, train
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from modelgen import fixture_job, load_perfbench
 
 
 def load_spantrace():
@@ -40,16 +30,6 @@ def test_traced_functions_exist():
 def test_decode_step_rows_come_from_prev_ids():
     from lemtag.model import decode_step
     assert list(inspect.signature(decode_step).parameters)[1] == "prev_ids"
-
-
-def fixture_job(seed=1):
-    """A predict-h64 test corpus (surface only; the same on every workload)
-    and the fixture model."""
-    corpusgen = load_perfbench("corpusgen")
-    text = corpusgen.to_text(corpusgen.make_sentences(8, seed, 2), gold=False)
-    model, vocab = load_model(PERFBENCH / "fixture" / "h64.ckpt")
-    snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
-    return model, parse_corpus(text, mode="surface_only"), vocab, snip
 
 
 # corpus seed -> SHA-256 prefixes of the greedy and the beam-5 + vote corpus
