@@ -363,8 +363,6 @@ def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
     the decodes are grouped back by their example's sentence.
     """
     check_vocab(model.config, vocab)
-    # exact, as the weights sit on the float32 grid; decoding follows their dtype
-    model = Model(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
     if voting and snippet_cfg.mode != "context_window":
         raise ValueError("voting requires context_window mode")
     examples = examples_for_corpus(corpus, snippet_cfg)

@@ -8,10 +8,9 @@ vocabulary.  Everything is plain numpy with hand-written backpropagation;
 gradients are exact for the realized dropout masks and are checked against
 finite differences in the test suite.
 
-Weights are float64 kept on the float32 grid (snapped after init and
-after every update), so the float32 checkpoint format round-trips
-bit-exactly and ``predict_corpus`` decodes with an exact float32 copy:
-inference arrays take the weights' dtype, and training stays float64.
+Parameters are float32 from ``init_model`` on, as checkpoints store them,
+and every array of training and inference takes the parameters' dtype, so
+a float64 copy of a model (as the gradient checks use) computes in float64.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ def _param_shapes(cfg: ModelConfig):
     return shapes
 
 
-def _snap32(arr):
-    # restrict values to the float32 grid; computation stays float64
-    return arr.astype(np.float32).astype(np.float64)
-
-
 class Model:
     """Configuration plus named parameter tensors in declared order."""
 
@@ -104,7 +98,7 @@ def init_model(cfg: ModelConfig) -> Model:
     rng = np.random.default_rng(cfg.rng_seed)
     params = {}
     for name, shape in _param_shapes(cfg).items():
-        params[name] = _snap32(rng.uniform(-0.1, 0.1, size=shape))
+        params[name] = rng.uniform(-0.1, 0.1, size=shape).astype(np.float32)
     h = cfg.hidden_units
     for name in params:
         if name.endswith("_b") and name != "out_b":
@@ -219,14 +213,14 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
     """Backpropagate through one LSTM layer.
 
     ``d_outputs`` holds gradients w.r.t. the per-position outputs; ``dh``
-    and ``dc`` (arrays, or 0.0 for none) hold the gradient flowing into the
+    and ``dc`` (arrays, zero for none) hold the gradient flowing into the
     final state (e.g. from the encoder-decoder bridge).  Returns gradients
     for the inputs, the three weight tensors, and the initial state.  Only
     ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz.
     """
     x, h_prev, trace = cache
     bsz, steps, hid = d_outputs.shape
-    dz_all = np.empty((bsz, steps, 4 * hid))
+    dz_all = np.empty((bsz, steps, 4 * hid), dtype=d_outputs.dtype)
     for (t, c_prev, m, i, f, g, o, tanh_c) in reversed(trace):
         dh_t = dh + d_outputs[:, t, :]
         dh_in = np.where(m, dh_t, 0.0)
@@ -246,11 +240,12 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
     return d_inputs, x.T @ dz, h_prev.reshape(-1, hid).T @ dz, dz.sum(axis=0), dh, dc
 
 
-def _dropout_mask(rng, shape, p):
-    """A scaled keep mask, or 1.0 when not training (no ``rng``) or ``p`` is 0."""
+def _dropout_mask(rng, like, p):
+    """A scaled keep mask with the shape and dtype of ``like``, or 1.0 when
+    not training (no ``rng``) or ``p`` is 0."""
     if rng is None or p == 0:
         return 1.0
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return ((rng.random(like.shape) >= p) / (1.0 - p)).astype(like.dtype)
 
 
 def _check_ids(ids, size, what):
@@ -279,7 +274,7 @@ def _stack_forward(model, stack, inputs, mask, init, rng):
     finals = []
     caches = []
     for layer in range(cfg.layers):
-        drop = _dropout_mask(rng, inputs.shape, cfg.dropout_p) if layer > 0 else 1.0
+        drop = _dropout_mask(rng, inputs, cfg.dropout_p) if layer > 0 else 1.0
         inputs = inputs * drop
         if stack == "enc":
             zero = np.zeros((len(inputs), cfg.hidden_units), dtype=inputs.dtype)
@@ -328,7 +323,7 @@ def _forward(model, batch, rng):
     dec_out, _, dec_caches = _stack_forward(
         model, "dec", model.params["tgt_embed"][tgt_in], batch.loss_mask,
         init_decoder_state(model, finals), rng)
-    out_drop = _dropout_mask(rng, dec_out.shape, cfg.dropout_p)
+    out_drop = _dropout_mask(rng, dec_out, cfg.dropout_p)
     logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
     gold = batch.tgt[:, 1:]
@@ -430,7 +425,10 @@ def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
         d_inputs, d_init[layer] = [], []
         for k, (name, trace) in enumerate(traces):
             part = slice(k * hid, (k + 1) * hid)
-            dh, dc = (d[:, part] for d in d_finals[layer]) if d_finals else (0.0, 0.0)
+            if d_finals:
+                dh, dc = (d[:, part] for d in d_finals[layer])
+            else:
+                dh = dc = np.zeros_like(d_outputs[:, 0, part])
             d_in, dWx, dWh, db, dh0, dc0 = _lstm_backward(
                 p[f"{name}_Wx"], p[f"{name}_Wh"], d_outputs[:, :, part], trace, dh, dc)
             grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = dWx, dWh, db
@@ -512,7 +510,8 @@ def sgd_update(model, grads, lr, clip_norm=None):
         raise ValueError("clip_norm must be positive and finite, or None")
     sq = 0.0
     for g in grads.values():
-        sq += float((g * g).sum())
+        # squared in double precision: a float32 square overflows from about 2e19
+        sq += float(np.square(g, dtype=float).sum())
     norm = float(np.sqrt(sq))
     if not np.isfinite(norm):
         raise ValueError("non-finite gradients")
@@ -520,8 +519,7 @@ def sgd_update(model, grads, lr, clip_norm=None):
     if clip_norm is not None and norm > clip_norm:
         scale = clip_norm / norm
     for name, param in model.params.items():
-        # stay on the float32 grid so checkpoints round-trip exactly
-        param[...] = (param - lr * scale * grads[name]).astype(np.float32)
+        param -= lr * scale * grads[name]
     return model
 
 
@@ -584,7 +582,8 @@ def load_model(path, expect_vocab: Vocab | None = None):
         count = math.prod(shape)
         if offset + 4 * count > end:
             raise CheckpointError("checkpoint tensor data truncated")
-        params[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).astype(np.float64)
+        # a writable copy: the view into the file's bytes is read-only
+        params[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).astype(np.float32)
         offset += 4 * count
     if offset != end:
         raise CheckpointError("trailing bytes after tensor data")

@@ -300,7 +300,7 @@ def test_train_outputs_match_golden_digests(capsys, tmp_path, gold_file):
     digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
                for name in ("train_report.json", "training.log")}
     assert digests == {
-        "train_report.json": "6ff1eb496422109bc85dc881cc18b340fac2c22f3926a75fcacbdc2b48dd62a2",
+        "train_report.json": "1ebe8f616db571482e3e5c363f7b652190fcc0c66315e5fdbeeddb80920807f2",
         "training.log": "b6cf8a858b62a003c01c279be791314e12ee52e846fb6920e88fa3a3f4d87eff",
     }
 

@@ -11,7 +11,7 @@ from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
                            beam_ids, build_ballots, greedy_decode, greedy_ids,
                            majority_vote, parse_analysis_units,
                            predict_corpus, predict_sentence, score_sequence)
-from lemtag.model import (Model, ModelConfig, decode_step, encode_source,
+from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
 from lemtag.snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
                              SnippetConfig, build_vocab, examples_for_corpus)
@@ -405,13 +405,10 @@ def test_batched_search_and_chunks_leave_outputs_alone(monkeypatch):
         assert outputs[0] == outputs[1] == outputs[2], seed
 
 
-def as_float32(model):
-    return Model(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
-
-
 def test_float32_search_equals_float64_search():
-    """The weights sit on the float32 grid, so a float32 copy is exact; the
-    searches it runs must pick the same ids as the float64 model's."""
+    """A model's float64 upcast holds the same weights and computes in
+    float64; float32 rounding must not change the ids the searches pick."""
+    from gradcheck import as_float64
     from modelgen import fixture_job, warm_model
     jobs = [warm_model(seed=seed)[:4] for seed in range(4)]
     jobs += [(model, vocab, corpus, snip)
@@ -421,8 +418,8 @@ def test_float32_search_equals_float64_search():
         sources = [decode_mod.encode(e, vocab)[0] for e in examples_for_corpus(corpus, snip)]
         for beam_size in (1, 5):
             cfg = DecodeConfig(beam_size=beam_size)
-            assert decode_mod._search(as_float32(model), sources, cfg) == \
-                decode_mod._search(model, sources, cfg)
+            assert decode_mod._search(model, sources, cfg) == \
+                decode_mod._search(as_float64(model), sources, cfg)
         compared += len(sources)
     assert compared == 91 + 6 * 96
 

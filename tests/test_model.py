@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from corpusgen import make_corpus
+from gradcheck import as_float64
 from lemtag import decode
-from lemtag.model import (Batch, CheckpointError, Model, ModelConfig, _lstm_backward,
+from lemtag.model import (Batch, CheckpointError, ModelConfig, _forward, _lstm_backward,
                           _lstm_forward, _lstm_step, _sigmoid, _softmax, attend, backward,
                           decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
@@ -348,7 +349,7 @@ def test_uniform_loss_is_log_vocab():
 
 def test_loss_is_token_weighted_mean_of_rows():
     cfg = tiny_config()
-    m = init_model(cfg)
+    m = as_float64(init_model(cfg))  # the tolerances below are float64's
     pairs = [([5, 6, 7], [2, 5, 6, 3]), ([8, 9], [2, 7, 3])]
     full = forward_loss(m, make_batch(pairs))
     parts = []
@@ -474,7 +475,7 @@ def test_sgd_rejects_non_finite():
     assert_unchanged()
 
 
-def test_clipped_sgd_matches_subtract_then_snap():
+def test_clipped_sgd_matches_scaled_subtract():
     cfg = tiny_config(layers=2)
     m = init_model(cfg)
     ref = m.copy()
@@ -484,26 +485,78 @@ def test_clipped_sgd_matches_subtract_then_snap():
         _, grads = backward(m, batch)
         sq = 0.0
         for g in grads.values():
-            sq += float((g * g).sum())
+            sq += float((g.astype(np.float64) ** 2).sum())
         norm = float(np.sqrt(sq))
         assert norm > clip_norm
         for name, param in ref.params.items():
             param -= lr * (clip_norm / norm) * grads[name]
-            param[...] = param.astype(np.float32).astype(np.float64)
         sgd_update(m, grads, lr, clip_norm)
         for name in m.params:
             assert m.params[name].tobytes() == ref.params[name].tobytes(), name
 
 
-def test_weights_stay_on_float32_grid():
+def test_clipping_a_huge_float32_gradient_keeps_the_weights_finite():
+    # a float32 square overflows from about 2e19, so the norm sums squares in float64
+    m = init_model(tiny_config())
+    before = m.params["out_b"][0]
+    grads = zero_grads(m)
+    grads["out_b"][0] = 1e20
+    sgd_update(m, grads, lr=1.0, clip_norm=5.0)
+    assert all(p.dtype == np.float32 and np.isfinite(p).all() for p in m.params.values())
+    assert m.params["out_b"][0] == pytest.approx(before - 5.0)
+
+
+def test_weights_stay_on_float32_grid(tmp_path):
+    # float32 parameters through every update, so a checkpoint round-trips them bit for bit
     cfg = tiny_config()
     m = init_model(cfg)
     batch = sample_batch(cfg)
     for _ in range(3):
         _, grads = backward(m, batch)
         sgd_update(m, grads, lr=0.5, clip_norm=5.0)
-    for p in m.params.values():
-        assert np.array_equal(p, p.astype(np.float32).astype(np.float64))
+    path = tmp_path / "trained.ckpt"
+    save_model(m, tiny_vocab(cfg), path)
+    loaded, _ = load_model(path)
+    for name, p in m.params.items():
+        assert p.dtype == np.float32
+        assert loaded.params[name].tobytes() == p.tobytes(), name
+
+
+def float_arrays(tree):
+    """The floating-point arrays in a nest of tuples, lists and dicts."""
+    if isinstance(tree, np.ndarray):
+        return [tree] if tree.dtype.kind == "f" else []
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (tuple, list)):
+        return [a for item in tree for a in float_arrays(item)]
+    return []
+
+
+def test_every_array_takes_the_parameters_dtype(tmp_path):
+    """init_model's float32 parameters keep every array of the forward pass
+    (dropout masks included), every gradient and every updated parameter
+    float32; a float64 copy computes in float64 throughout, as the gradient
+    checks need.  Checkpoints store float32, so a loaded model is float32."""
+    cfg = tiny_config(layers=2, dropout_p=0.3)
+    vocab = tiny_vocab(cfg)
+    batch = sample_batch(cfg)
+    m32 = init_model(cfg)
+    m64 = as_float64(m32)
+    for m, dtype in ((m32, np.float32), (m64, np.float64)):
+        _, cache = _forward(m, batch, np.random.default_rng(0))
+        assert isinstance(cache["out_drop"], np.ndarray)
+        _, grads = backward(m, batch, np.random.default_rng(0))
+        states, finals = encode_source(m, batch)
+        logits, new_state = decode_step(m, batch.tgt[:, 0], init_decoder_state(m, finals),
+                                        states, batch.src_mask)
+        sgd_update(m, grads, lr=0.5, clip_norm=5.0)
+        arrays = float_arrays([cache, grads, states, finals, logits, new_state, m.params])
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        path = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+        save_model(m, vocab, path)
+        loaded, _ = load_model(path)
+        assert {p.dtype for p in loaded.params.values()} == {np.dtype(np.float32)}
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -616,6 +669,18 @@ def test_checkpoint_load_rejections(tmp_path, edit, message):
         load_model(path)
 
 
+def test_a_loaded_model_trains_without_touching_its_file(tmp_path):
+    cfg = tiny_config()
+    path = saved_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    m, _ = load_model(path)
+    _, grads = backward(m, sample_batch(cfg))
+    sgd_update(m, grads, lr=0.5, clip_norm=5.0)
+    assert path.read_bytes() == blob
+    fresh = init_model(cfg)
+    assert any(not np.array_equal(m.params[k], fresh.params[k]) for k in m.params)
+
+
 def test_model_copy_is_deep():
     m = init_model(tiny_config())
     c = m.copy()
@@ -630,27 +695,26 @@ def test_float32_weights_keep_float32_through_inference(monkeypatch):
     cfg = tiny_config(source_vocab_size=vocab.source_size,
                       target_vocab_size=vocab.target_size, layers=2)
     m = init_model(cfg)
-    m32 = Model(cfg, {k: v.astype(np.float32) for k, v in m.params.items()})
     batch = sample_batch(cfg)
-    states, finals = encode_source(m32, batch)
-    logits, new_state = decode_step(m32, batch.tgt[:, 0], init_decoder_state(m32, finals),
+    states, finals = encode_source(m, batch)
+    logits, new_state = decode_step(m, batch.tgt[:, 0], init_decoder_state(m, finals),
                                     states, batch.src_mask)
-    attended, parts = attend(m32, new_state[-1][0][:, None, :], states, batch.src_mask)
+    attended, parts = attend(m, new_state[-1][0][:, None, :], states, batch.src_mask)
     arrays = [states, logits, attended, parts["weights"], parts["context"]]
     arrays += [a for state in finals + new_state for a in state]
     assert all(a.dtype == np.float32 for a in arrays)
 
-    # predict_corpus decodes with a float32 copy and leaves the caller's weights alone
+    # predict_corpus searches with the caller's own float32 arrays and leaves them alone
     before = {k: v.copy() for k, v in m.params.items()}
     searched, real_search = [], decode._search
 
     def spy(model, sources, decode_cfg):
-        searched.append({v.dtype for v in model.params.values()})
+        searched.append(all(model.params[k] is m.params[k] for k in m.params))
         return real_search(model, sources, decode_cfg)
 
     monkeypatch.setattr(decode, "_search", spy)
     decode.predict_corpus(m, corpus, vocab, snip, decode.DecodeConfig(beam_size=2, max_length=4))
-    assert searched and all(dtypes == {np.dtype(np.float32)} for dtypes in searched)
+    assert searched and all(searched)
     for name, value in m.params.items():
-        assert value.dtype == np.float64
+        assert value.dtype == np.float32
         assert value.tobytes() == before[name].tobytes()
