@@ -187,24 +187,29 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
     ``mask`` (B, T) freezes the state at padded positions so the final state
     is the state at each row's last real position; ``reverse`` processes
     time back to front.  ``inputs @ Wx`` is one GEMM before the time loop.
-    Returns outputs (B, T, H), the final (h, c), and a cache for the
-    backward pass: the (B*T, Din) inputs, each step's starting h (B, T, H)
-    and per-step tuples.
+    A step with no padding takes the new state as it is; only a step with
+    padding selects between the new and the frozen state.  Returns outputs
+    (B, T, H), the final (h, c), and a cache for the backward pass: the
+    (B*T, Din) inputs, each step's starting h (B, T, H) and per-step
+    tuples, whose (B, 1) mask is None at a step with no padding.
     """
     bsz, steps, din = inputs.shape
     x = inputs.reshape(-1, din)
     xw = (x @ Wx).reshape(bsz, steps, -1)
     outputs = np.zeros((bsz, steps, Wh.shape[0]), dtype=xw.dtype)
     h_prev = np.empty_like(outputs)
+    full = mask.all(axis=0).tolist()
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     trace = []
     for t in order:
         h_prev[:, t, :] = h
         h_new, c_new, gates = _lstm_step(xw[:, t, :], Wh, b, h, c)
-        m = mask[:, t][:, None]
+        m = None if full[t] else mask[:, t][:, None]
         trace.append((t, c, m, *gates))
-        h = np.where(m, h_new, h)
-        c = np.where(m, c_new, c)
+        if m is None:
+            h, c = h_new, c_new
+        else:
+            h, c = np.where(m, h_new, h), np.where(m, c_new, c)
         outputs[:, t, :] = h
     return outputs, (h, c), (x, h_prev, trace)
 
@@ -217,14 +222,18 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
     final state (e.g. from the encoder-decoder bridge).  Returns gradients
     for the inputs, the three weight tensors, and the initial state.  Only
     ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz.
+    A step with no padding (mask None in the trace) passes the state
+    gradients on without a select.
     """
     x, h_prev, trace = cache
     bsz, steps, hid = d_outputs.shape
     dz_all = np.empty((bsz, steps, 4 * hid), dtype=d_outputs.dtype)
     for (t, c_prev, m, i, f, g, o, tanh_c) in reversed(trace):
         dh_t = dh + d_outputs[:, t, :]
-        dh_in = np.where(m, dh_t, 0.0)
-        dc_in = np.where(m, dc, 0.0)
+        if m is None:
+            dh_in, dc_in = dh_t, dc
+        else:
+            dh_in, dc_in = np.where(m, dh_t, 0.0), np.where(m, dc, 0.0)
         do = dh_in * tanh_c
         dc_full = dc_in + dh_in * o * (1.0 - tanh_c ** 2)
         di = dc_full * g
@@ -232,9 +241,11 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
         dg = dc_full * i
         dz = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g ** 2),
                              do * o * (1.0 - o)], axis=1, out=dz_all[:, t, :])
-        # masked positions pass the state gradient straight through
-        dh = np.where(m, dz @ Wh.T, dh_t)
-        dc = np.where(m, dc_full * f, dc)
+        if m is None:
+            dh, dc = dz @ Wh.T, dc_full * f
+        else:
+            # padded positions pass the state gradient straight through
+            dh, dc = np.where(m, dz @ Wh.T, dh_t), np.where(m, dc_full * f, dc)
     dz = dz_all.reshape(-1, 4 * hid)
     d_inputs = (dz @ Wx.T).reshape(bsz, steps, -1)
     return d_inputs, x.T @ dz, h_prev.reshape(-1, hid).T @ dz, dz.sum(axis=0), dh, dc
@@ -245,7 +256,7 @@ def _dropout_mask(rng, like, p):
     not training (no ``rng``) or ``p`` is 0."""
     if rng is None or p == 0:
         return 1.0
-    return ((rng.random(like.shape) >= p) / (1.0 - p)).astype(like.dtype)
+    return (rng.random(like.shape) >= p) * like.dtype.type(1.0 / (1.0 - p))
 
 
 def _check_ids(ids, size, what):

@@ -7,6 +7,7 @@ the benchmark's trained fixture model.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from corpusgen import make_corpus
@@ -22,6 +23,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import struct
 import zlib
 
@@ -8,9 +9,9 @@ import pytest
 from corpusgen import make_corpus
 from gradcheck import as_float64
 from lemtag import decode
-from lemtag.model import (Batch, CheckpointError, ModelConfig, _forward, _lstm_backward,
-                          _lstm_forward, _lstm_step, _sigmoid, _softmax, attend, backward,
-                          decode_step, encode_source, forward_loss,
+from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _forward,
+                          _lstm_backward, _lstm_forward, _lstm_step, _sigmoid, _softmax,
+                          attend, backward, decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
                           make_batch, save_model, sgd_update)
 from lemtag.snippets import (CONTROL_SYMBOLS, PAD_ID, SnippetConfig, Vocab, build_vocab,
@@ -112,10 +113,10 @@ def test_encoder_shapes_and_determinism():
     assert np.array_equal(states, again)
 
 
-def assert_close(actual, desired):
-    # rtol 1e-12, with an absolute floor at that share of the tensor's largest value
-    np.testing.assert_allclose(actual, desired, rtol=1e-12,
-                               atol=1e-12 * float(np.abs(desired).max()))
+def assert_close(actual, desired, rtol=1e-12):
+    # rtol, with an absolute floor at that share of the tensor's largest value
+    np.testing.assert_allclose(actual, desired, rtol=rtol,
+                               atol=rtol * float(np.abs(desired).max()))
 
 
 def test_encode_source_padded_rows_match_windows_encoded_alone():
@@ -134,55 +135,78 @@ def test_encode_source_padded_rows_match_windows_encoded_alone():
 
 def reference_lstm(Wx, Wh, b, inputs, mask, reverse, h, c, d_outputs, dh, dc):
     """One LSTM layer stepped a position at a time, forward and backward,
-    with the weight gradients accumulated per step."""
-    bsz, steps, _ = inputs.shape
-    outputs = np.zeros((bsz, steps, Wh.shape[0]))
+    with a mask select at every step and the weight gradients accumulated
+    per step.  The input projection and the input gradient are one product
+    each, as in the layer, so every per-position value compares bytewise."""
+    bsz, steps, din = inputs.shape
+    hid = Wh.shape[0]
+    xw = (inputs.reshape(-1, din) @ Wx).reshape(bsz, steps, -1)
+    outputs = np.zeros((bsz, steps, hid), dtype=inputs.dtype)
     tape = []
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        x = inputs[:, t, :]
-        h_new, c_new, gates = _lstm_step(x @ Wx, Wh, b, h, c)
+        h_new, c_new, gates = _lstm_step(xw[:, t, :], Wh, b, h, c)
         m = mask[:, t][:, None] > 0
-        tape.append((t, x, h, c, m, gates))
+        tape.append((t, h, c, m, gates))
         h, c = np.where(m, h_new, h), np.where(m, c_new, c)
         outputs[:, t, :] = h
     final = (h, c)
     dWx, dWh, db = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b)
-    d_inputs = np.zeros_like(inputs)
-    for t, x, h_prev, c_prev, m, (i, f, g, o, tanh_c) in reversed(tape):
+    dz_all = np.zeros((bsz, steps, 4 * hid), dtype=d_outputs.dtype)
+    for t, h_prev, c_prev, m, (i, f, g, o, tanh_c) in reversed(tape):
         dh_t = dh + d_outputs[:, t, :]
         dh_in, dc_in = np.where(m, dh_t, 0.0), np.where(m, dc, 0.0)
         dc_full = dc_in + dh_in * o * (1.0 - tanh_c ** 2)
         dz = np.concatenate([dc_full * g * i * (1.0 - i), dc_full * c_prev * f * (1.0 - f),
                              dc_full * i * (1.0 - g ** 2), dh_in * tanh_c * o * (1.0 - o)],
                             axis=1)
-        dWx += x.T @ dz
+        dWx += inputs[:, t, :].T @ dz
         dWh += h_prev.T @ dz
         db += dz.sum(axis=0)
-        d_inputs[:, t, :] = dz @ Wx.T
+        dz_all[:, t, :] = dz
         dh, dc = np.where(m, dz @ Wh.T, dh_t), np.where(m, dc_full * f, dc)
+    d_inputs = (dz_all.reshape(-1, 4 * hid) @ Wx.T).reshape(bsz, steps, -1)
     return outputs, final, (d_inputs, dWx, dWh, db, dh, dc)
+
+
+def lstm_case(lengths, hid, dtype):
+    """Seeded weights, inputs, a (B, 6) mask of the given row lengths,
+    initial state and incoming gradients for one LSTM layer of 4 inputs."""
+    rng = np.random.default_rng(3)
+    bsz, steps, din = len(lengths), 6, 4
+
+    def draw(*shape, scale=1.0):
+        return rng.normal(scale=scale, size=shape).astype(dtype)
+
+    mask = np.arange(steps)[None, :] < np.array(lengths)[:, None]
+    weights = draw(din, 4 * hid, scale=0.5), draw(hid, 4 * hid, scale=0.5), draw(4 * hid, scale=0.5)
+    inputs, h0, c0 = draw(bsz, steps, din), draw(bsz, hid), draw(bsz, hid)
+    d_outputs = draw(bsz, steps, hid) * mask[:, :, None]
+    return weights, inputs, mask, (h0, c0), d_outputs, (draw(bsz, hid), draw(bsz, hid))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_layer_matches_stepwise_reference(reverse):
-    rng = np.random.default_rng(3)
-    bsz, steps, din, hid = 3, 6, 4, 5
-    Wx = rng.normal(scale=0.5, size=(din, 4 * hid))
-    Wh = rng.normal(scale=0.5, size=(hid, 4 * hid))
-    b = rng.normal(scale=0.5, size=4 * hid)
-    inputs = rng.normal(size=(bsz, steps, din))
-    mask = (np.arange(steps)[None, :] < np.array([[6], [3], [1]])).astype(np.float64)
-    h0, c0 = rng.normal(size=(bsz, hid)), rng.normal(size=(bsz, hid))
-    d_outputs = rng.normal(size=(bsz, steps, hid)) * mask[:, :, None]
-    dh, dc = rng.normal(size=(bsz, hid)), rng.normal(size=(bsz, hid))
-
-    outputs, final, cache = _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h0, c0)
-    grads = _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc)
-    ref_outputs, ref_final, ref_grads = reference_lstm(
-        Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc)
-    for got, want in zip((outputs, *final, *grads), (ref_outputs, *ref_final, *ref_grads)):
-        assert got.shape == want.shape
-        assert_close(got, want)
+    """Steps with no padding skip the select, and every per-position value
+    keeps the bytes of selecting at every step: in both dtypes, for masks
+    with padded steps, with none and with one row.  At 16 units OpenBLAS
+    sums ``dz @ Wh.T`` in another order when ``Wh.T`` is a contiguous copy,
+    so the recurrence must keep the transposed view."""
+    cases = itertools.product(([6, 3, 1], [6, 6, 4, 6], [6, 6, 6], [6]), (5, 16),
+                              (np.float64, np.float32))
+    for lengths, hid, dtype in cases:
+        (Wx, Wh, b), inputs, mask, (h0, c0), d_outputs, (dh, dc) = lstm_case(lengths, hid, dtype)
+        outputs, final, cache = _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h0, c0)
+        d_inputs, *weight_grads, dh0, dc0 = _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc)
+        ref_outputs, ref_final, (ref_d_inputs, *ref_weight_grads, ref_dh0, ref_dc0) = \
+            reference_lstm(Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc)
+        for got, want in zip((outputs, *final, d_inputs, dh0, dc0),
+                             (ref_outputs, *ref_final, ref_d_inputs, ref_dh0, ref_dc0)):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want), (lengths, hid, dtype)
+        # the weight gradients sum over the steps in another order
+        for got, want in zip(weight_grads, ref_weight_grads):
+            assert got.dtype == dtype
+            assert_close(got, want, rtol=1e-12 if dtype == np.float64 else 1e-5)
 
 
 def test_sigmoid_matches_two_branch_form_bytewise():
@@ -385,6 +409,21 @@ def test_dropout_needs_rng_and_changes_loss():
     b, _ = backward(m, batch, rng=rng)
     assert a != b  # different masks drawn from the stream
     assert forward_loss(m, batch) == forward_loss(m, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_mask_matches_divide_and_cast_form_bytewise(dtype):
+    """The keep mask times the scale in the array's dtype gives the bytes
+    of dividing the keep mask by 1 - p in float64 and casting, and draws
+    the same random stream."""
+    like = np.empty((32, 22, 16), dtype=dtype)
+    for p in (0.1, 0.3, 0.5, 0.7, 0.999, 1e-9):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _dropout_mask(rng, like, p)
+        want = ((ref_rng.random(like.shape) >= p) / (1.0 - p)).astype(dtype)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 def test_unused_embedding_rows_get_zero_gradient():

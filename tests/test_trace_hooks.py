@@ -5,6 +5,7 @@ argument the tracer reads and the predicted bytes in step with the package."""
 import hashlib
 import importlib
 import inspect
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from lemtag.decode import DecodeConfig, predict_corpus
 from lemtag.model import ModelConfig, init_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from lemtag.training import TrainConfig, train
-from modelgen import fixture_job, load_perfbench
+from modelgen import PERFBENCH, fixture_job, load_perfbench
 
 
 def load_spantrace():
@@ -25,6 +26,15 @@ def test_traced_functions_exist():
     for module, function in load_spantrace().LAYER_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"lemtag.{module}"), function, None)), \
             f"lemtag.{module}.{function}"
+
+
+def test_blas_runs_on_one_thread_as_in_the_benchmark(monkeypatch):
+    """``tests/conftest.py`` pins BLAS to one thread before numpy loads."""
+    # run.py imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "corpusgen")
+    _, _, threads = load_perfbench("run").blas_info()
+    assert threads == 1
 
 
 def test_decode_step_rows_come_from_prev_ids():
