@@ -25,13 +25,13 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MorphoTag:
-    """An ordered list of grammemes, normalized to sorted unique symbols."""
+    """Sorted unique grammeme symbols; ``_`` marks the empty tag, so it is none."""
 
     grammemes: tuple[str, ...] = ()
 
     def __post_init__(self):
         for g in self.grammemes:
-            if not g or any(c in g for c in ";\t\n "):
+            if not g or g == "_" or any(c in g for c in ";\t\n "):
                 raise ValueError(f"invalid grammeme {g!r}")
         if list(self.grammemes) != sorted(set(self.grammemes)):
             raise ValueError(

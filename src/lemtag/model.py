@@ -6,7 +6,9 @@ the encoder's final states, bilinear ("general") global attention over the
 encoder states, a tanh combination layer, and a projection to the target
 vocabulary.  Everything is plain numpy with hand-written backpropagation;
 gradients are exact for the realized dropout masks and are checked against
-finite differences in the test suite.
+finite differences in the test suite.  Padding is handled in three places:
+the encoder recurrence (frozen state, zero outputs), the attention scores
+(-inf) and the loss weights.
 
 Parameters are float32 from ``init_model`` on, as checkpoints store them,
 and every array of training and inference takes the parameters' dtype, so
@@ -108,11 +110,10 @@ def init_model(cfg: ModelConfig) -> Model:
 
 @dataclass
 class Batch:
-    """Padded id matrices with masks.
-
-    ``src`` is (B, S) and ``tgt`` (B, T) with targets already framed by the
-    start/end ids; ``src_mask`` is (B, S) and ``loss_mask`` (B, T-1), boolean
-    masks that are False exactly on padding.
+    """Padded id matrices, ``src`` (B, S) and ``tgt`` (B, T) with targets
+    framed by the start/end ids, and boolean masks that are False exactly on
+    padding: ``src_mask`` (B, S), read by the encoder recurrence and by
+    ``attend``, and ``loss_mask`` (B, T-1), read only by the loss.
     """
 
     src: np.ndarray
@@ -184,21 +185,22 @@ def _lstm_step(xw, Wh, b, h, c):
 def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
     """Run one LSTM layer over (B, T, Din) inputs from the state (h, c).
 
-    ``mask`` (B, T) freezes the state at padded positions so the final state
-    is the state at each row's last real position; ``reverse`` processes
-    time back to front.  ``inputs @ Wx`` is one GEMM before the time loop.
-    A step with no padding takes the new state as it is; only a step with
-    padding selects between the new and the frozen state.  Returns outputs
-    (B, T, H), the final (h, c), and a cache for the backward pass: the
-    (B*T, Din) inputs, each step's starting h (B, T, H) and per-step
-    tuples, whose (B, 1) mask is None at a step with no padding.
+    ``mask`` (B, T), or None for no padding, freezes the state and zeroes
+    the output at padded positions, so the final state is the state at each
+    row's last real position; ``reverse`` processes time back to front.
+    ``inputs @ Wx`` is one GEMM before the time loop.  A step with no
+    padding takes the new state as it is; only a step with padding selects
+    between the new and the frozen state.  Returns outputs (B, T, H), the
+    final (h, c), and a cache for the backward pass: the (B*T, Din) inputs,
+    each step's starting h (B, T, H) and per-step tuples, whose (B, 1) mask
+    is None at a step with no padding.
     """
     bsz, steps, din = inputs.shape
     x = inputs.reshape(-1, din)
     xw = (x @ Wx).reshape(bsz, steps, -1)
     outputs = np.zeros((bsz, steps, Wh.shape[0]), dtype=xw.dtype)
     h_prev = np.empty_like(outputs)
-    full = mask.all(axis=0).tolist()
+    full = [True] * steps if mask is None else mask.all(axis=0).tolist()
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     trace = []
     for t in order:
@@ -210,20 +212,20 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
             h, c = h_new, c_new
         else:
             h, c = np.where(m, h_new, h), np.where(m, c_new, c)
-        outputs[:, t, :] = h
+        outputs[:, t, :] = h if m is None else h * m
     return outputs, (h, c), (x, h_prev, trace)
 
 
 def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
     """Backpropagate through one LSTM layer.
 
-    ``d_outputs`` holds gradients w.r.t. the per-position outputs; ``dh``
-    and ``dc`` (arrays, zero for none) hold the gradient flowing into the
-    final state (e.g. from the encoder-decoder bridge).  Returns gradients
-    for the inputs, the three weight tensors, and the initial state.  Only
-    ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz.
-    A step with no padding (mask None in the trace) passes the state
-    gradients on without a select.
+    ``d_outputs`` holds gradients w.r.t. the per-position outputs, zero at
+    padded positions, where the outputs are constant; ``dh`` and ``dc``
+    (arrays, zero for none) hold the gradient flowing into the final state
+    (e.g. from the encoder-decoder bridge).  Returns gradients for the
+    inputs, the three weight tensors, and the initial state.  Only
+    ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz;
+    a step with no padding (mask None in the trace) selects nothing.
     """
     x, h_prev, trace = cache
     bsz, steps, hid = d_outputs.shape
@@ -278,7 +280,8 @@ def _stack_forward(model, stack, inputs, mask, init, rng):
     input through dropout when ``rng`` is given (training).  Returns the
     top layer's outputs and each layer's final (h, c), both with the
     directions concatenated along the last axis, and a cache for
-    ``_stack_backward``.
+    ``_stack_backward``.  The decoder runs with mask None, so its final
+    states include the padded steps; nothing reads them.
     """
     cfg = model.config
     p = model.params
@@ -312,9 +315,8 @@ def _encode(model, batch, rng):
     (B, S, 2*hidden), zero on padding, each layer's final (h, c), each
     (B, 2*hidden), and the stack cache."""
     _check_ids(batch.src, model.config.source_vocab_size, "source")
-    out, finals, caches = _stack_forward(
+    return _stack_forward(
         model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, rng)
-    return out * batch.src_mask[:, :, None], finals, caches
 
 
 def _forward(model, batch, rng):
@@ -328,12 +330,10 @@ def _forward(model, batch, rng):
     cfg = model.config
     _check_ids(batch.tgt, cfg.target_vocab_size, "target")  # inputs and gold ids
     enc_states, finals, enc_caches = _encode(model, batch, rng)
-    # padded target positions carry zero loss weight, so the mask that
-    # freezes the decoder there changes neither the loss nor a gradient
     tgt_in = batch.tgt[:, :-1]
-    dec_out, _, dec_caches = _stack_forward(
-        model, "dec", model.params["tgt_embed"][tgt_in], batch.loss_mask,
-        init_decoder_state(model, finals), rng)
+    # unmasked: padded target positions follow the real ones and carry zero loss weight
+    dec_out, _, dec_caches = _stack_forward(model, "dec", model.params["tgt_embed"][tgt_in],
+                                            None, init_decoder_state(model, finals), rng)
     out_drop = _dropout_mask(rng, dec_out, cfg.dropout_p)
     logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
@@ -504,8 +504,8 @@ def backward(model, batch, rng=None):
         grads[f"bridge{layer}_h"] = eh.T @ dh0
         grads[f"bridge{layer}_c"] = ec.T @ dc0
         d_finals.append((dh0 @ p[f"bridge{layer}_h"].T, dc0 @ p[f"bridge{layer}_c"].T))
-    d_src, _ = _stack_backward(model, grads, cache["enc_caches"],
-                               d_enc * batch.src_mask[:, :, None], d_finals)
+    # padded source positions have attention weight 0, so d_enc is already 0 there
+    d_src, _ = _stack_backward(model, grads, cache["enc_caches"], d_enc, d_finals)
     grads["src_embed"] = np.zeros_like(p["src_embed"])
     np.add.at(grads["src_embed"], batch.src, d_src)
     # sgd_update sums the global norm in this order

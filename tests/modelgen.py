@@ -10,12 +10,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from corpusgen import make_corpus
 from lemtag.conllu import parse_corpus
 from lemtag.decode import DecodeConfig, greedy_ids
 from lemtag.model import (ModelConfig, backward, init_model, load_model,
                           make_batch, sgd_update)
 from lemtag.snippets import SnippetConfig, build_vocab, encode, examples_for_corpus
+from toycorpus import make_corpus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

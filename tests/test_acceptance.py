@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from corpusgen import make_corpus, tiny_corpus
 from gradcheck import finite_difference_check
 from lemtag import decode as decode_mod
 from lemtag.conllu import (EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence,
@@ -24,6 +23,7 @@ from lemtag.snippets import (SnippetConfig, WORD_BOUNDARY, build_vocab,
                              examples_for_corpus)
 from lemtag.training import TrainConfig, lr_schedule, train
 from modelgen import warm_model
+from toycorpus import make_corpus, tiny_corpus
 
 
 def test_criterion_1_gradient_oracle():

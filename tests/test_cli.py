@@ -5,7 +5,6 @@ import zlib
 
 import pytest
 
-from corpusgen import make_corpus, tiny_corpus
 from lemtag import cli
 from lemtag.cli import main
 from lemtag.conllu import read_corpus_file, write_corpus
@@ -14,6 +13,7 @@ from lemtag.model import (CheckpointError, ModelConfig, init_model, load_model,
 from lemtag.snippets import (CONTROL_SYMBOLS, SnippetConfig, Vocab,
                              examples_for_corpus, format_example)
 from lemtag.training import TrainingDivergedError
+from toycorpus import make_corpus, tiny_corpus
 
 
 @pytest.fixture

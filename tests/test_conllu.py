@@ -121,6 +121,16 @@ def test_grammeme_with_a_space_is_an_error_at_its_line():
     assert str(err.value).startswith("line 2: ")
 
 
+def test_underscore_grammeme_is_an_error_at_its_line():
+    """``_`` marks the empty tag, so as a grammeme it would be written as
+    ``_`` and read back as no grammeme at all."""
+    for tag in ("_;_", "N;_"):
+        with pytest.raises(CorpusFormatError, match="invalid grammeme '_'") as err:
+            parse_corpus(f"a\ta\tN\nb\tb\t{tag}\n")
+        assert err.value.line == 2
+    assert parse_corpus("a\ta\t_\n").sentences[0].tokens[0].gold.tag == EMPTY_TAG
+
+
 def test_write_round_trips_sample():
     corpus = parse_corpus(SAMPLE)
     text = write_corpus(corpus)

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corpusgen import make_corpus
 from lemtag import decode as decode_mod
 from lemtag.conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
@@ -15,6 +14,7 @@ from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
 from lemtag.snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
                              SnippetConfig, build_vocab, examples_for_corpus)
+from toycorpus import make_corpus
 
 
 def setup_model(seed=0, hidden=6, n_sentences=6):

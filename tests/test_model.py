@@ -6,7 +6,6 @@ import zlib
 import numpy as np
 import pytest
 
-from corpusgen import make_corpus
 from gradcheck import as_float64
 from lemtag import decode
 from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _forward,
@@ -16,6 +15,7 @@ from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _f
                           make_batch, save_model, sgd_update)
 from lemtag.snippets import (CONTROL_SYMBOLS, PAD_ID, SnippetConfig, Vocab, build_vocab,
                              examples_for_corpus)
+from toycorpus import make_corpus
 
 
 def tiny_config(**overrides):
@@ -135,9 +135,10 @@ def test_encode_source_padded_rows_match_windows_encoded_alone():
 
 def reference_lstm(Wx, Wh, b, inputs, mask, reverse, h, c, d_outputs, dh, dc):
     """One LSTM layer stepped a position at a time, forward and backward,
-    with a mask select at every step and the weight gradients accumulated
-    per step.  The input projection and the input gradient are one product
-    each, as in the layer, so every per-position value compares bytewise."""
+    with a mask select at every step, zero outputs at padded positions and
+    the weight gradients accumulated per step.  The input projection and the
+    input gradient are one product each, as in the layer, so every
+    per-position value compares bytewise."""
     bsz, steps, din = inputs.shape
     hid = Wh.shape[0]
     xw = (inputs.reshape(-1, din) @ Wx).reshape(bsz, steps, -1)
@@ -148,7 +149,7 @@ def reference_lstm(Wx, Wh, b, inputs, mask, reverse, h, c, d_outputs, dh, dc):
         m = mask[:, t][:, None] > 0
         tape.append((t, h, c, m, gates))
         h, c = np.where(m, h_new, h), np.where(m, c_new, c)
-        outputs[:, t, :] = h
+        outputs[:, t, :] = np.where(m, h, 0.0)
     final = (h, c)
     dWx, dWh, db = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros_like(b)
     dz_all = np.zeros((bsz, steps, 4 * hid), dtype=d_outputs.dtype)
@@ -188,9 +189,10 @@ def lstm_case(lengths, hid, dtype):
 def test_lstm_layer_matches_stepwise_reference(reverse):
     """Steps with no padding skip the select, and every per-position value
     keeps the bytes of selecting at every step: in both dtypes, for masks
-    with padded steps, with none and with one row.  At 16 units OpenBLAS
-    sums ``dz @ Wh.T`` in another order when ``Wh.T`` is a contiguous copy,
-    so the recurrence must keep the transposed view."""
+    with padded steps, with none and with one row; mask None keeps the bytes
+    of an all-True mask.  At 16 units OpenBLAS sums ``dz @ Wh.T`` in another
+    order when ``Wh.T`` is a contiguous copy, so the recurrence must keep the
+    transposed view."""
     cases = itertools.product(([6, 3, 1], [6, 6, 4, 6], [6, 6, 6], [6]), (5, 16),
                               (np.float64, np.float32))
     for lengths, hid, dtype in cases:
@@ -207,6 +209,43 @@ def test_lstm_layer_matches_stepwise_reference(reverse):
         for got, want in zip(weight_grads, ref_weight_grads):
             assert got.dtype == dtype
             assert_close(got, want, rtol=1e-12 if dtype == np.float64 else 1e-5)
+        if mask.all():
+            # mask None means no padding: the bytes of an all-True mask
+            none_outputs, none_final, none_cache = _lstm_forward(
+                Wx, Wh, b, inputs, None, reverse, h0, c0)
+            none_grads = _lstm_backward(Wx, Wh, d_outputs, none_cache, dh, dc)
+            for got, want in zip((none_outputs, *none_final, *none_grads),
+                                 (outputs, *final, d_inputs, *weight_grads, dh0, dc0)):
+                assert np.array_equal(got, want), (lengths, hid, dtype)
+
+
+def test_padded_ids_change_neither_loss_nor_gradients():
+    """Padding is read by the encoder recurrence, attention and the loss
+    only: other ids at the padded positions of ``src`` and ``tgt`` leave the
+    loss and every gradient as they are, with dropout on, and the
+    teacher-forced decoder runs with no mask at any step."""
+    cfg = tiny_config(layers=2, hidden_units=5, dropout_p=0.3)
+    m = init_model(cfg)
+    batch = make_batch([([5, 6, 7, 8, 9], [2, 5, 3]), ([7, 5], [2, 6, 7, 8, 9, 3]),
+                        ([9, 8, 6], [2, 10, 3])])
+    draw = np.random.default_rng(1).integers  # ids past the control symbols, never PAD_ID
+    tgt_mask = np.concatenate([batch.src_mask[:, :1], batch.loss_mask], axis=1)
+    other = Batch(
+        np.where(batch.src_mask, batch.src, draw(5, cfg.source_vocab_size, batch.src.shape)),
+        batch.src_mask,
+        np.where(tgt_mask, batch.tgt, draw(5, cfg.target_vocab_size, batch.tgt.shape)),
+        batch.loss_mask)
+    assert (other.src != batch.src).sum() == 5 and (other.tgt != batch.tgt).sum() == 6
+    loss, grads = backward(m, batch, np.random.default_rng(7))
+    other_loss, other_grads = backward(m, other, np.random.default_rng(7))
+    assert loss == other_loss
+    for name in grads:
+        assert np.array_equal(grads[name], other_grads[name]), name
+    _, cache = _forward(m, other, np.random.default_rng(7))
+    dec_masks = [entry[2] for traces, _ in cache["dec_caches"]
+                 for _, (_, _, trace) in traces for entry in trace]
+    assert len(dec_masks) == cfg.layers * other.loss_mask.shape[1]
+    assert all(mask is None for mask in dec_masks)
 
 
 def test_sigmoid_matches_two_branch_form_bytewise():

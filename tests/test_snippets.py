@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from corpusgen import make_corpus
 from lemtag.conllu import Analysis, Corpus, MorphoTag, Sentence, Token, parse_corpus
 from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
                              START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
@@ -12,6 +11,7 @@ from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
                              examples_for_corpus, format_example,
                              grammeme_symbol, is_grammeme_symbol,
                              tokenize_analysis, tokenize_surface, window_span)
+from toycorpus import make_corpus
 
 
 def _sentence():

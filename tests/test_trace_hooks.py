@@ -5,7 +5,6 @@ argument the tracer reads and the predicted bytes in step with the package."""
 import hashlib
 import importlib
 import inspect
-import sys
 
 import pytest
 
@@ -32,7 +31,6 @@ def test_blas_runs_on_one_thread_as_in_the_benchmark(monkeypatch):
     """``tests/conftest.py`` pins BLAS to one thread before numpy loads."""
     # run.py imports its sibling modules by their bare names
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "corpusgen")
     _, _, threads = load_perfbench("run").blas_info()
     assert threads == 1
 

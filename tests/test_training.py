@@ -5,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from corpusgen import make_corpus
 from lemtag.conllu import Corpus
 from lemtag.model import ModelConfig, init_model, load_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from lemtag.training import (CheckpointRecord, TrainConfig,
                              TrainingDivergedError, TrainReport, _select_best,
                              checkpoint_path, lr_schedule, make_batches, train)
+from toycorpus import make_corpus
 
 
 def micro_setup(n_sentences=8, seed=0, hidden=12):
