@@ -13,7 +13,7 @@ import sys
 
 from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
                      read_text_file, write_corpus)
-from .decode import DecodeConfig, predict_corpus
+from .decode import DecodeConfig, check_voting, predict_corpus
 from .metrics import EvalAlignmentError, evaluate
 from .model import CheckpointError, ModelConfig, init_model, load_model
 from .snippets import (MODES, TC_MODES, SnippetConfig, build_vocab,
@@ -203,8 +203,8 @@ def run_predict(args):
     s = _settings(args)
     snip_cfg = _config(SnippetConfig, s)
     voting = bool(s["vote"])
-    if voting and snip_cfg.mode != "context_window":
-        raise UsageError("--vote requires --mode context_window")
+    if voting:
+        _checked(check_voting, snippet_cfg=snip_cfg)
     decode_cfg = _config(DecodeConfig, s)
     model, vocab = load_model(args.checkpoint)
     corpus = read_corpus_file(args.corpus, mode="surface_only")

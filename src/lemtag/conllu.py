@@ -197,14 +197,9 @@ def read_corpus_file(path, mode: str = "gold") -> Corpus:
     return parse_corpus(read_text_file(path), mode)
 
 
-def lexical_forms(corpus: Corpus) -> set[tuple[str, tuple[str, ...]]]:
-    """The set of (lemma, grammemes) pairs attested as gold analyses."""
-    forms = set()
-    for sent in corpus:
-        for tok in sent.tokens:
-            if tok.gold is not None:
-                forms.add((tok.gold.lemma, tok.gold.tag.grammemes))
-    return forms
+def lexical_forms(corpus: Corpus) -> set[Analysis]:
+    """The set of gold analyses, each a (lemma, tag) pair, attested in the corpus."""
+    return {tok.gold for sent in corpus for tok in sent.tokens if tok.gold is not None}
 
 
 def corpus_stats(corpus: Corpus, reference: Corpus | None = None) -> CorpusStats:
@@ -222,6 +217,6 @@ def corpus_stats(corpus: Corpus, reference: Corpus | None = None) -> CorpusStats
     rate = None
     if reference is not None:
         seen = lexical_forms(reference)
-        oov = sum((g.lemma, g.tag.grammemes) not in seen for g in golds)
+        oov = sum(g not in seen for g in golds)
         rate = oov / n_tokens if n_tokens else 0.0
     return CorpusStats(len(corpus.sentences), n_tokens, ratio, rate)

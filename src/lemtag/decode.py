@@ -271,12 +271,14 @@ def align_full_sequence(units: list[Analysis], sentence: Sentence):
 def build_ballots(sentence_length: int, window: int, decoded_units):
     """Collect per-token candidate lists from every covering snippet.
 
+    ``window`` is the target window (``SnippetConfig.target_window``): the
+    context words to each side whose units a snippet's target holds.
     ``decoded_units`` holds, per snippet (one per focal token), its list of
     decoded units.  Token i is covered by snippet j when |i - j| <= window; the
-    unit ordinal inside snippet j is i minus the first token of j's window
-    (``window_span``).  A snippet too short to supply the unit contributes
-    None at that slot.  Each ballot entry is (unit-or-None, focal distance,
-    snippet index).
+    unit ordinal inside snippet j is i minus the first token of j's target
+    window (``window_span``).  A snippet too short to supply the unit
+    contributes None at that slot.  Each ballot entry is (unit-or-None,
+    focal distance, snippet index).
     """
     ballots = []
     for i in range(sentence_length):
@@ -307,6 +309,16 @@ def majority_vote(ballot):
 # sentence / corpus prediction
 
 
+def check_voting(snippet_cfg: SnippetConfig):
+    """Raise ValueError unless a vote would count analyses alone: in
+    context_window mode, a target renders its context words as full
+    analyses (tc_mode "both") or not at all."""
+    if snippet_cfg.mode != "context_window" or (snippet_cfg.target_window
+                                                and snippet_cfg.tc_mode != "both"):
+        raise ValueError("voting requires context_window mode, with tc_mode 'both' or "
+                         "'none' unless the window is 0")
+
+
 def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
                      snippet_cfg: SnippetConfig, decode_cfg: DecodeConfig,
                      voting: bool = False):
@@ -331,7 +343,7 @@ def _sentence_analyses(sentence, decoded, snippet_cfg, voting):
         ballots = [[(unit, 0, 0)] for unit in zip(aligned, malformed + [False] * length)]
     else:
         mismatch = False
-        ballots = build_ballots(length, snippet_cfg.window,
+        ballots = build_ballots(length, snippet_cfg.target_window,
                                 [list(zip(units, malformed)) for units, malformed, _ in decoded])
     flags = [{FLAG_MISMATCH} if mismatch else set() for _ in range(length)]
     analyses: list[Analysis] = []
@@ -363,8 +375,8 @@ def predict_corpus(model: Model, corpus: Corpus, vocab: Vocab,
     the decodes are grouped back by their example's sentence.
     """
     check_vocab(model.config, vocab)
-    if voting and snippet_cfg.mode != "context_window":
-        raise ValueError("voting requires context_window mode")
+    if voting:
+        check_voting(snippet_cfg)
     examples = examples_for_corpus(corpus, snippet_cfg)
     sources = [encode(e, vocab)[0] for e in examples]
     order = sorted(range(len(sources)), key=lambda i: (len(sources[i]), i))

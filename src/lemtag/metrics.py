@@ -119,8 +119,7 @@ def evaluate(pred: Corpus, gold: Corpus, train_reference: Corpus | None = None) 
             f1 = tag_f1(pt.gold.tag, gt.gold.tag).f1
             rows.append((lemma_ok, distance, tag_ok, f1, lemma_ok and tag_ok))
             if known is not None:
-                key = (gt.gold.lemma, gt.gold.tag.grammemes)
-                oov_mask.append(key not in known)
+                oov_mask.append(gt.gold not in known)
     overall = _score_rows(rows)
     if known is None:
         return EvalReport(overall)

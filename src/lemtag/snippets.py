@@ -70,21 +70,19 @@ class SnippetConfig:
             raise ValueError(f"unknown target-context mode {self.tc_mode!r}")
         check_integer("window", self.window, 0)
 
+    @property
+    def target_window(self) -> int:
+        """Context words to each side that a window's target renders, one
+        unit per word: none under tc_mode "none", else ``window``."""
+        return 0 if self.tc_mode == "none" else self.window
+
 
 @dataclass(frozen=True)
 class SnippetExample:
-    """One source/target sequence pair.
-
-    ``focal_index`` is the token position this example is responsible for
-    (context_window mode only).  ``focal_span`` is the half-open symbol
-    range of the focal analysis inside ``target``, including its
-    terminating boundary symbol.
-    """
+    """One source/target sequence pair of sentence ``sentence_id``."""
 
     source: tuple[str, ...]
     target: tuple[str, ...] | None = None
-    focal_index: int | None = None
-    focal_span: tuple[int, int] | None = None
     sentence_id: int = 0
 
 
@@ -102,10 +100,7 @@ def tokenize_analysis(analysis: Analysis) -> list[str]:
 
 
 def _context_unit(token: Token, tc_mode: str) -> list[str]:
-    """Target-side rendering of a non-focal token, boundary-terminated
-    unless tc_mode is "none", which renders nothing."""
-    if tc_mode == "none":
-        return []
+    """Target-side rendering of a non-focal token, boundary-terminated."""
     if tc_mode == "both":
         return tokenize_analysis(token.gold)
     if tc_mode == "lemmata":
@@ -125,42 +120,45 @@ def window_span(length: int, focal: int, window: int) -> tuple[int, int]:
 
 def _examples(sentence: Sentence, spans, tc_mode: str,
               sentence_id: int) -> list[SnippetExample]:
-    """One example per (first, last, focal) span, over tokens
-    ``first..last``: the focal token's target is its analysis, every other
-    token's is rendered by ``tc_mode``.  Targets are present only when the
-    whole sentence has gold analyses, checked once for all spans."""
+    """One example per (source range, target range, focal) span, each range
+    a (first, last) token pair: the source renders the surfaces of its
+    range, the target the focal token's analysis and every other token of
+    its range by ``tc_mode``.  Targets are present only when the whole
+    sentence has gold analyses, checked once for all spans."""
     tokens = sentence.tokens
     have_gold = all(tok.gold is not None for tok in tokens)
     examples = []
-    for first, last, focal in spans:
+    for (first, last), (target_first, target_last), focal in spans:
         source = [sym for tok in tokens[first:last + 1] for sym in tokenize_surface(tok)]
-        target = span = None
+        target = None
         if have_gold:
             target = []
-            for j in range(first, last + 1):
+            for j in range(target_first, target_last + 1):
                 if j == focal:
                     unit = tokenize_analysis(tokens[j].gold)
-                    span = (len(target), len(target) + len(unit))
                 else:
                     unit = _context_unit(tokens[j], tc_mode)
                 target.extend(unit)
             target = tuple(target)
-        examples.append(SnippetExample(tuple(source), target, focal, span, sentence_id))
+        examples.append(SnippetExample(tuple(source), target, sentence_id))
     return examples
 
 
 def examples_for_corpus(corpus: Corpus, cfg: SnippetConfig) -> list[SnippetExample]:
     """All examples of a corpus in sentence order: in full_sequence mode one
     per sentence, covering it whole with every token rendered by its
-    analysis; in context_window mode one per focal token, its window
-    clipped at the sentence edges."""
+    analysis; in context_window mode one per focal token, its source and
+    target windows (``window`` and ``target_window``) clipped at the
+    sentence edges."""
     examples = []
     for sid, sentence in enumerate(corpus):
         length = len(sentence)
         if cfg.mode == "full_sequence":
-            spans, tc_mode = [(0, length - 1, None)], "both"
+            spans, tc_mode = [((0, length - 1), (0, length - 1), None)], "both"
         else:
-            spans = [(*window_span(length, focal, cfg.window), focal) for focal in range(length)]
+            spans = [(window_span(length, focal, cfg.window),
+                      window_span(length, focal, cfg.target_window), focal)
+                     for focal in range(length)]
             tc_mode = cfg.tc_mode
         examples.extend(_examples(sentence, spans, tc_mode, sid))
     return examples
@@ -170,7 +168,8 @@ class Vocab:
     """Bidirectional symbol<->id maps for the source and target sides.
 
     Control symbols occupy the first five indices on both sides; symbols
-    seen fewer than ``min_freq`` times map to the unknown id.
+    seen fewer than ``min_freq`` times map to the unknown id.  A symbol is
+    a non-empty string without a tab or a newline.
     """
 
     def __init__(self, source_symbols, target_symbols, min_freq=1):
@@ -178,6 +177,9 @@ class Vocab:
         self.target_symbols = tuple(target_symbols)
         self.min_freq = min_freq
         check_integer("min_freq", min_freq, 1)
+        for s in self.source_symbols + self.target_symbols:
+            if not isinstance(s, str) or not s or "\t" in s or "\n" in s:
+                raise ValueError(f"invalid symbol {s!r}")
         if self.source_symbols[:5] != CONTROL_SYMBOLS or self.target_symbols[:5] != CONTROL_SYMBOLS:
             raise ValueError("vocab must start with the control symbols")
         self._source_index = {s: i for i, s in enumerate(self.source_symbols)}

@@ -160,6 +160,15 @@ def test_vote_needs_context_window_before_any_file_access(capsys, tmp_path):
     assert "context_window" in err
 
 
+def test_vote_over_partial_context_units_is_refused_before_any_file_access(capsys, tmp_path):
+    code, _, err = run(capsys, "predict", str(tmp_path / "no.ckpt"),
+                       str(tmp_path / "no.tsv"), "--out", str(tmp_path / "o.tsv"),
+                       "--tc", "lemmata", "--vote")
+    assert code == 1
+    assert "voting requires" in err
+    assert not (tmp_path / "o.tsv").exists()
+
+
 def test_predict_rejects_bad_beam_before_loading(capsys, tmp_path):
     code, _, _ = run(capsys, "predict", str(tmp_path / "no.ckpt"),
                      str(tmp_path / "no.tsv"), "--out", str(tmp_path / "o.tsv"),
@@ -205,9 +214,13 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("min_freq", lambda min_freq: 1.5),
     ("min_freq", lambda min_freq: None),
     ("config", lambda config: dict(config, source_vocab_size=config["source_vocab_size"] + 1)),
+    ("target_symbols", lambda symbols: symbols[:-1] + [5]),
+    ("target_symbols", lambda symbols: symbols[:-1] + [""]),
+    ("target_symbols", lambda symbols: symbols[:-1] + ["\t"]),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
         "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
-        "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch"])
+        "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch",
+        "int-symbol", "empty-symbol", "tab-symbol"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,
                                                             edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))

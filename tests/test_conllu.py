@@ -244,9 +244,9 @@ def test_empty_corpus_stats_are_zero():
 def test_lexical_forms():
     corpus = parse_corpus(SAMPLE)
     assert lexical_forms(corpus) == {
-        ("bat", ("N", "PL")),
-        ("bite", ("PST", "V")),
-        ("cat", ("N", "PL")),
+        Analysis("bat", MorphoTag(("N", "PL"))),
+        Analysis("bite", MorphoTag(("PST", "V"))),
+        Analysis("cat", MorphoTag(("N", "PL"))),
     }
 
 

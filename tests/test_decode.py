@@ -12,8 +12,8 @@ from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
                            predict_corpus, predict_sentence, score_sequence)
 from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
-from lemtag.snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
-                             SnippetConfig, build_vocab, examples_for_corpus)
+from lemtag.snippets import (END_ID, PAD_ID, START_ID, TC_MODES, WORD_BOUNDARY,
+                             SnippetConfig, build_vocab, encode, examples_for_corpus)
 from toycorpus import make_corpus
 
 
@@ -553,6 +553,49 @@ def test_predict_sentence_rejects_voting_outside_window_mode():
         predict_sentence(model, corpus.sentences[0], vocab,
                          SnippetConfig(mode="full_sequence"),
                          DecodeConfig(), voting=True)
+
+
+def oracle_search(monkeypatch, corpus, vocab, snip):
+    """Make ``_search`` return each example's own target, in the (length,
+    index) order in which ``predict_corpus`` searches; a source window can
+    repeat with different targets, so examples are not matched by source."""
+    encoded = [encode(e, vocab) for e in examples_for_corpus(corpus, snip)]
+    queue = sorted(encoded, key=lambda pair: len(pair[0]))  # stable: ties keep index order
+
+    def oracle(model_, sources, cfg):
+        batch = queue[:len(sources)]
+        del queue[:len(sources)]
+        assert [src for src, _ in batch] == [list(s) for s in sources]
+        return [(tgt[1:-1], True) for _, tgt in batch]
+
+    monkeypatch.setattr(decode_mod, "_search", oracle)
+
+
+def test_oracle_decodes_give_back_the_gold_corpus(monkeypatch):
+    # a decoder that returns every window's training target must yield the
+    # gold analyses, all flags clean, wherever voting is allowed; a vote
+    # over context units that are not analyses is refused
+    corpus = make_corpus(8, seed=3)
+    surfaces = Corpus(tuple(Sentence(tuple(Token(t.surface) for t in s.tokens))
+                            for s in corpus))
+    cases = [(SnippetConfig(mode="full_sequence"), False)]
+    cases += [(SnippetConfig(mode="context_window", window=w, tc_mode=tc), voting)
+              for w in (0, 1, 2) for tc in TC_MODES for voting in (False, True)]
+    refused = 0
+    for snip, voting in cases:
+        vocab = build_vocab(examples_for_corpus(corpus, snip))
+        model = init_model(ModelConfig(vocab.source_size, vocab.target_size,
+                                       embedding_size=2, hidden_units=2, layers=1))
+        oracle_search(monkeypatch, corpus, vocab, snip)
+        if voting and snip.window and snip.tc_mode not in ("both", "none"):
+            refused += 1
+            with pytest.raises(ValueError, match="context_window"):
+                predict_corpus(model, surfaces, vocab, snip, DecodeConfig(), voting)
+            continue
+        predicted, flags = predict_corpus(model, surfaces, vocab, snip, DecodeConfig(), voting)
+        assert predicted == corpus, (snip, voting)
+        assert all(f == "" for sent in flags for f in sent), (snip, voting)
+    assert (len(cases), refused) == (31, 6)
 
 
 def fixed_ids(vocab, symbols):

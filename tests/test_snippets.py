@@ -59,7 +59,6 @@ def test_full_sequence_example():
     assert ex.target == ("b", "a", "t", "+n", "+pl", WORD_BOUNDARY,
                          "b", "e", "+aux", "+prs", WORD_BOUNDARY,
                          "f", "l", "y", "+prog", "+v", WORD_BOUNDARY)
-    assert ex.focal_index is None
 
 
 def test_full_sequence_without_gold_has_no_target():
@@ -72,7 +71,6 @@ def test_window_examples_count_and_focus():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="both")
     examples = sentence_examples(_sentence(), cfg)
     assert len(examples) == 3
-    assert [e.focal_index for e in examples] == [0, 1, 2]
     # middle snippet sees all three words on the source side
     assert examples[1].source == ("B", "a", "t", "s", WORD_BOUNDARY,
                                   "a", "r", "e", WORD_BOUNDARY,
@@ -101,20 +99,6 @@ def test_window_target_context_variants():
                                     + ["+prog", "+v", WORD_BOUNDARY])
     assert by_mode["surface"] == tuple(["B", "a", "t", "s", WORD_BOUNDARY] + focal_unit
                                        + ["f", "l", "y", "i", "n", "g", WORD_BOUNDARY])
-
-
-def test_focal_span_points_at_focal_unit():
-    rng = np.random.default_rng(1)
-    corpus = make_corpus(8, seed=3)
-    for tc in ("none", "lemmata", "tags", "both", "surface"):
-        for w in (0, 1, 2):
-            cfg = SnippetConfig(mode="context_window", window=w, tc_mode=tc)
-            for sent in corpus:
-                for ex in sentence_examples(sent, cfg):
-                    lo, hi = ex.focal_span
-                    unit = ex.target[lo:hi]
-                    gold = sent.tokens[ex.focal_index].gold
-                    assert unit == tuple(tokenize_analysis(gold))
 
 
 def test_snippet_config_validation():
@@ -249,10 +233,10 @@ def test_examples_for_corpus_golden_digest():
         for cfg in configs:
             for e in examples_for_corpus(source, cfg):
                 digest.update((format_example(e) + "\n").encode("utf-8"))
-                digest.update(repr((e.focal_index, e.focal_span, e.sentence_id)).encode("utf-8"))
+                digest.update(repr(e.sentence_id).encode("utf-8"))
                 count += 1
     assert count == 916
-    assert digest.hexdigest()[:16] == "712ae6b0d2895978"
+    assert digest.hexdigest()[:16] == "27420776f5876e95"
 
 
 def test_window_span_matches_covering_formula():
