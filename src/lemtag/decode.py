@@ -1,11 +1,12 @@
-"""Inference: greedy and beam search, parsing decoded symbol streams back
-into analyses, and majority voting over overlapping context windows.
+"""Inference: greedy and beam search, and majority voting over
+overlapping context windows; ``snippets``, the owner of the analysis
+symbol format, reads decoded symbol streams back into analyses.
 
 Per-token flags record anything suspicious on the way from symbols to
 analyses: "truncated" (decode hit the length limit), "malformed" (a unit
-with a grammeme before any lemma character, or an empty unit), "short"
-(decode produced fewer units than the window needs, fallback used) and
-"mismatch" (full-sequence unit count differs from the token count).
+with no lemma character, a lemma character after a grammeme, or <UNK>),
+"short" (decode produced fewer units than the window needs, fallback
+used) and "mismatch" (full-sequence unit count differs from the token count).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
+from .conllu import EMPTY_TAG, Analysis, Corpus, Sentence, Token
 from .model import (Model, _softmax, check_vocab, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
-from .snippets import (END_ID, PAD_ID, START_ID, WORD_BOUNDARY,
-                       GRAMMEME_PREFIX, SnippetConfig, Vocab, check_integer,
-                       encode, examples_for_corpus, is_grammeme_symbol,
-                       window_span)
+from .snippets import (END_ID, PAD_ID, START_ID, SnippetConfig, Vocab,
+                       check_integer, encode, examples_for_corpus,
+                       parse_analysis_units, window_span)
 
 FLAG_TRUNCATED = "truncated"
 FLAG_MALFORMED = "malformed"
@@ -207,50 +207,7 @@ def greedy_decode(model: Model, source_ids, vocab: Vocab,
 
 
 # ---------------------------------------------------------------------------
-# symbols -> analyses
-
-
-def parse_analysis_units(symbols) -> tuple[list[Analysis], list[bool]]:
-    """Split a decoded symbol stream on word boundaries into analyses.
-
-    Within a unit, the leading run of non-grammeme symbols forms the lemma
-    and "+"-prefixed symbols form the tag (normalized order).  A trailing
-    unit without a boundary is kept.  Returns (units, malformed flags); a
-    unit is malformed when a grammeme precedes any lemma character, a lemma
-    character follows a grammeme, or the unit is empty.
-    """
-    units: list[Analysis] = []
-    malformed: list[bool] = []
-    chunk: list[str] = []
-    symbols = list(symbols)
-    if symbols and symbols[-1] != WORD_BOUNDARY:
-        symbols.append(WORD_BOUNDARY)  # the trailing unit ends like any other
-    for sym in symbols:
-        if sym == WORD_BOUNDARY:
-            analysis, bad = _parse_unit(chunk)
-            units.append(analysis)
-            malformed.append(bad)
-            chunk = []
-        else:
-            chunk.append(sym)
-    return units, malformed
-
-
-def _parse_unit(chunk):
-    lemma_parts = []
-    grammemes = []
-    bad = not chunk
-    for sym in chunk:
-        if is_grammeme_symbol(sym):
-            grammemes.append(sym[len(GRAMMEME_PREFIX):])
-        else:
-            if grammemes:
-                bad = True  # lemma character after a grammeme
-            lemma_parts.append(sym)
-    if grammemes and not lemma_parts:
-        bad = True
-    tag = MorphoTag(tuple(sorted(set(grammemes)))) if grammemes else EMPTY_TAG
-    return Analysis("".join(lemma_parts), tag), bad
+# units -> analyses: full-sequence alignment and voting
 
 
 def align_full_sequence(units: list[Analysis], sentence: Sentence):
@@ -262,10 +219,6 @@ def align_full_sequence(units: list[Analysis], sentence: Sentence):
     """
     fallbacks = [Analysis(token.surface, EMPTY_TAG) for token in sentence.tokens[len(units):]]
     return list(units[:len(sentence)]) + fallbacks, len(units) != len(sentence)
-
-
-# ---------------------------------------------------------------------------
-# voting
 
 
 def build_ballots(sentence_length: int, window: int, decoded_units):

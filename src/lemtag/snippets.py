@@ -3,10 +3,11 @@
 A sequence is a list of atomic symbols: single characters, ``+``-prefixed
 grammeme labels, or multi-character control symbols.  Words on the source
 side and analyses on the target side are each terminated by the word
-boundary symbol.  Two operating modes exist: one sequence pair per
-sentence (full_sequence, the window that spans the whole sentence), or one
-pair per focal token covering ``W`` words of context to each side
-(context_window).
+boundary symbol.  This module owns the analysis format both ways
+(``tokenize_analysis``, ``parse_analysis_units``).  Two operating modes
+exist: one sequence pair per sentence (full_sequence, the window that
+spans the whole sentence), or one pair per focal token covering ``W``
+words of context to each side (context_window).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 
-from .conllu import Analysis, Corpus, Sentence, Token
+from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 
 # Control symbols, always present in both vocabularies at these indices.
 PADDING = "<PAD>"
@@ -28,6 +29,7 @@ CONTROL_SYMBOLS = (PADDING, UNKNOWN, SEQUENCE_START, SEQUENCE_END, WORD_BOUNDARY
 PAD_ID, UNK_ID, START_ID, END_ID, BOUNDARY_ID = range(5)
 
 GRAMMEME_PREFIX = "+"
+SPACE = "<SP>"  # how format_example prints the symbol " "
 
 TC_MODES = ("none", "lemmata", "tags", "both", "surface")
 MODES = ("full_sequence", "context_window")
@@ -38,10 +40,6 @@ def check_integer(name: str, value, minimum: int):
     below ``minimum``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
-
-
-def grammeme_symbol(grammeme: str) -> str:
-    return GRAMMEME_PREFIX + grammeme
 
 
 def is_grammeme_symbol(symbol: str) -> bool:
@@ -94,22 +92,64 @@ def tokenize_surface(token: Token) -> list[str]:
 def tokenize_analysis(analysis: Analysis) -> list[str]:
     """Lemma characters, then one atomic symbol per grammeme, then boundary."""
     symbols = list(analysis.lemma)
-    symbols.extend(grammeme_symbol(g) for g in analysis.tag.grammemes)
+    symbols.extend(GRAMMEME_PREFIX + g for g in analysis.tag.grammemes)
     symbols.append(WORD_BOUNDARY)
     return symbols
 
 
-def _context_unit(token: Token, tc_mode: str) -> list[str]:
-    """Target-side rendering of a non-focal token, boundary-terminated."""
-    if tc_mode == "both":
-        return tokenize_analysis(token.gold)
-    if tc_mode == "lemmata":
-        return list(token.gold.lemma) + [WORD_BOUNDARY]
-    if tc_mode == "tags":
-        return [grammeme_symbol(g) for g in token.gold.tag.grammemes] + [WORD_BOUNDARY]
+def parse_analysis_units(symbols) -> tuple[list[Analysis], list[bool]]:
+    """Split a decoded symbol stream on word boundaries into analyses.
+
+    Within a unit, non-grammeme symbols form the lemma and "+"-prefixed
+    symbols form the tag (normalized order).  A trailing unit without a
+    boundary is kept.  Returns (units, malformed flags); a unit is
+    malformed when it has no lemma character, a lemma character follows a
+    grammeme, or it holds a multi-character non-grammeme symbol (``<UNK>``).
+    """
+    units: list[Analysis] = []
+    malformed: list[bool] = []
+    chunk: list[str] = []
+    symbols = list(symbols)
+    if symbols and symbols[-1] != WORD_BOUNDARY:
+        symbols.append(WORD_BOUNDARY)  # the trailing unit ends like any other
+    for sym in symbols:
+        if sym == WORD_BOUNDARY:
+            analysis, bad = _parse_unit(chunk)
+            units.append(analysis)
+            malformed.append(bad)
+            chunk = []
+        else:
+            chunk.append(sym)
+    return units, malformed
+
+
+def _parse_unit(chunk):
+    lemma_parts = []
+    grammemes = []
+    bad = False
+    for sym in chunk:
+        if is_grammeme_symbol(sym):
+            grammemes.append(sym[len(GRAMMEME_PREFIX):])
+        else:
+            if grammemes or len(sym) > 1:
+                bad = True  # a lemma character after a grammeme, or <UNK>
+            lemma_parts.append(sym)
+    tag = MorphoTag(tuple(sorted(set(grammemes)))) if grammemes else EMPTY_TAG
+    return Analysis("".join(lemma_parts), tag), bad or not lemma_parts
+
+
+def _target_unit(token: Token, tc_mode: str) -> list[str]:
+    """Target-side rendering of a token, boundary-terminated: its whole
+    analysis ("both"), the lemma ("lemmata") or the tag ("tags") part of
+    it, or its surface characters ("surface")."""
     if tc_mode == "surface":
         return tokenize_surface(token)
-    raise ValueError(f"unknown target-context mode {tc_mode!r}")
+    unit = tokenize_analysis(token.gold)
+    if tc_mode == "lemmata":
+        return unit[:len(token.gold.lemma)] + unit[-1:]
+    if tc_mode == "tags":
+        return unit[len(token.gold.lemma):]
+    return unit
 
 
 def window_span(length: int, focal: int, window: int) -> tuple[int, int]:
@@ -134,11 +174,7 @@ def _examples(sentence: Sentence, spans, tc_mode: str,
         if have_gold:
             target = []
             for j in range(target_first, target_last + 1):
-                if j == focal:
-                    unit = tokenize_analysis(tokens[j].gold)
-                else:
-                    unit = _context_unit(tokens[j], tc_mode)
-                target.extend(unit)
+                target.extend(_target_unit(tokens[j], "both" if j == focal else tc_mode))
             target = tuple(target)
         examples.append(SnippetExample(tuple(source), target, sentence_id))
     return examples
@@ -169,7 +205,8 @@ class Vocab:
 
     Control symbols occupy the first five indices on both sides; symbols
     seen fewer than ``min_freq`` times map to the unknown id.  A symbol is
-    a non-empty string without a tab or a newline.
+    a non-empty string without a tab or a newline; a target symbol after
+    the control symbols is one character or a valid grammeme symbol.
     """
 
     def __init__(self, source_symbols, target_symbols, min_freq=1):
@@ -182,6 +219,11 @@ class Vocab:
                 raise ValueError(f"invalid symbol {s!r}")
         if self.source_symbols[:5] != CONTROL_SYMBOLS or self.target_symbols[:5] != CONTROL_SYMBOLS:
             raise ValueError("vocab must start with the control symbols")
+        for s in self.target_symbols[len(CONTROL_SYMBOLS):]:
+            if len(s) > 1:
+                if not is_grammeme_symbol(s):
+                    raise ValueError(f"invalid target symbol {s!r}")
+                MorphoTag((s[len(GRAMMEME_PREFIX):],))  # raises for an invalid grammeme
         self._source_index = {s: i for i, s in enumerate(self.source_symbols)}
         self._target_index = {s: i for i, s in enumerate(self.target_symbols)}
         if len(self._source_index) != len(self.source_symbols):
@@ -254,6 +296,8 @@ def encode(example: SnippetExample, vocab: Vocab):
 
 
 def format_example(example: SnippetExample) -> str:
-    """One-line rendering: source symbols, tab, target symbols."""
-    target = " ".join(example.target) if example.target is not None else ""
-    return " ".join(example.source) + "\t" + target
+    """One-line rendering: source symbols, tab, target symbols, each side
+    space-separated with the symbol " " printed as ``SPACE``."""
+    target = example.target if example.target is not None else ()
+    return "\t".join(" ".join(SPACE if s == " " else s for s in side)
+                     for side in (example.source, target))

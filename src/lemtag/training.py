@@ -139,6 +139,8 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
         raise ValueError("no training examples")
     if not dev_corpus.sentences:
         raise ValueError("empty dev corpus")
+    if any(tok.gold is None for sentence in dev_corpus for tok in sentence.tokens):
+        raise ValueError("dev corpus without gold analyses")
     encoded = []
     for example in train_examples:
         src, tgt = encode(example, vocab)

@@ -217,10 +217,14 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("target_symbols", lambda symbols: symbols[:-1] + [5]),
     ("target_symbols", lambda symbols: symbols[:-1] + [""]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["\t"]),
+    ("target_symbols", lambda symbols: symbols[:-1] + ["+_"]),
+    ("target_symbols", lambda symbols: symbols[:-1] + ["+a;b"]),
+    ("target_symbols", lambda symbols: symbols[:-1] + ["ab"]),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
         "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
         "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch",
-        "int-symbol", "empty-symbol", "tab-symbol"])
+        "int-symbol", "empty-symbol", "tab-symbol", "empty-tag-grammeme",
+        "multi-grammeme-symbol", "multi-character-symbol"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,
                                                             edit):
     vocab = Vocab(CONTROL_SYMBOLS + ("a",), CONTROL_SYMBOLS + ("b",))

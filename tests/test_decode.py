@@ -92,6 +92,13 @@ def test_parse_empty_unit_is_malformed():
     assert bad == [True]
 
 
+def test_parse_unknown_symbol_in_lemma_is_malformed():
+    units, bad = parse_analysis_units(["b", "<UNK>", "t", "+N", WORD_BOUNDARY,
+                                       "a", "+N", WORD_BOUNDARY])
+    assert units == [analysis("b<UNK>t", "N"), analysis("a", "N")]
+    assert bad == [True, False]
+
+
 def test_parse_lemma_character_after_grammeme():
     units, bad = parse_analysis_units(["a", "+N", "b", WORD_BOUNDARY])
     assert units == [analysis("ab", "N")]

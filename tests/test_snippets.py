@@ -5,11 +5,10 @@ import pytest
 
 from lemtag.conllu import Analysis, Corpus, MorphoTag, Sentence, Token, parse_corpus
 from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
-                             START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
+                             SPACE, START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
                              SEQUENCE_START, UNKNOWN, WORD_BOUNDARY, SnippetConfig,
                              Vocab, build_vocab, encode,
-                             examples_for_corpus, format_example,
-                             grammeme_symbol, is_grammeme_symbol,
+                             examples_for_corpus, format_example, is_grammeme_symbol,
                              tokenize_analysis, tokenize_surface, window_span)
 from toycorpus import make_corpus
 
@@ -39,7 +38,6 @@ def test_control_symbols_fixed_ids():
 
 
 def test_grammeme_symbols_are_atomic():
-    assert grammeme_symbol("pl") == "+pl"
     assert is_grammeme_symbol("+pl")
     assert not is_grammeme_symbol("+")  # a bare plus is an ordinary character
     assert not is_grammeme_symbol("pl")
@@ -176,6 +174,14 @@ def test_vocab_requires_control_prefix():
         Vocab(CONTROL_SYMBOLS + ("a", "a"), CONTROL_SYMBOLS, 1)
 
 
+def test_vocab_admits_only_target_symbols_the_tokenizers_write():
+    Vocab(CONTROL_SYMBOLS, CONTROL_SYMBOLS + ("+", " ", "+pl", "+Case=Nom"), 1)
+    Vocab(CONTROL_SYMBOLS + ("ab",), CONTROL_SYMBOLS, 1)  # the source side is not checked
+    for symbol in ("ab", "+_", "+a;b", "+a b", UNKNOWN):
+        with pytest.raises(ValueError):
+            Vocab(CONTROL_SYMBOLS, CONTROL_SYMBOLS + (symbol,), 1)
+
+
 def test_encode_frames_target():
     cfg = SnippetConfig(mode="context_window", window=1, tc_mode="none")
     examples = sentence_examples(_sentence(), cfg)
@@ -202,6 +208,16 @@ def test_format_example_round_readable():
     src_text, tgt_text = line.split("\t")
     assert tuple(src_text.split(" ")) == ex.source
     assert tuple(tgt_text.split(" ")) == ex.target
+
+
+def test_format_example_prints_a_space_symbol_so_the_line_splits_back():
+    corpus = parse_corpus("New York\tNew York\tPROPN\n")
+    ex, = examples_for_corpus(corpus, SnippetConfig(mode="context_window", window=0))
+    assert len(ex.source) == 9 and len(ex.target) == 10
+    src_text, tgt_text = format_example(ex).split("\t")
+    assert src_text.split(" ") == [SPACE if s == " " else s for s in ex.source]
+    assert tgt_text.split(" ") == [SPACE if s == " " else s for s in ex.target]
+    assert src_text.split(" ")[3] == SPACE == "<SP>"
 
 
 def test_window_examples_random_lengths_emit_one_per_token():

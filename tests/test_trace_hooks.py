@@ -98,6 +98,10 @@ def test_traced_predict_corpus_records_encoder_and_decoder_spans():
     rows = [span[spantrace.COUNT] for span in tracer.spans
             if span[spantrace.NAME] == "model.decode_step"]
     assert min(rows) >= 1
+    # decode.focal_unit_share reads these: one parse per decoded window
+    # (one window per token here) and one vote per token
+    for name in ("decode.parse_analysis_units", "decode.majority_vote"):
+        assert names.count(name) == corpus.token_count(), name
 
 
 def test_training_losses_match_benchmark_digest(tmp_path):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lemtag.conllu import Corpus
+from lemtag.conllu import Corpus, Sentence, Token
 from lemtag.model import ModelConfig, init_model, load_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from lemtag.training import (CheckpointRecord, TrainConfig,
@@ -165,6 +165,10 @@ def test_train_validates_inputs(tmp_path):
         train(model, stripped, corpus, vocab, snip, cfg)
     with pytest.raises(ValueError, match="empty dev corpus"):
         train(model, examples, Corpus(()), vocab, snip, cfg)
+    surface_only = Corpus(tuple(Sentence(tuple(Token(t.surface) for t in s.tokens))
+                                for s in corpus))
+    with pytest.raises(ValueError, match="dev corpus without gold analyses"):
+        train(model, examples, surface_only, vocab, snip, cfg)
     assert not (tmp_path / "run").exists()  # each refused before the directory is made
 
 
