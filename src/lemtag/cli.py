@@ -1,20 +1,21 @@
 """Command-line entry point: stats, snippetize, train, predict, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed inputs), 3 runtime failure.  A config file of key=value lines
-can preset any of the shared options; explicit flags win.
+malformed inputs), 3 runtime failure.  Every subcommand reads its config
+file of key=value lines, which can preset any option; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import sys
 
 from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
                      read_text_file, write_corpus)
 from .decode import DecodeConfig, check_voting, predict_corpus
-from .metrics import EvalAlignmentError, evaluate
+from .metrics import EvalAlignmentError, SplitScores, evaluate
 from .model import CheckpointError, ModelConfig, init_model, load_model
 from .snippets import (MODES, TC_MODES, SnippetConfig, build_vocab,
                        examples_for_corpus, format_example)
@@ -132,10 +133,10 @@ def _checked(ctor, **kwargs):
         raise UsageError(str(err)) from None
 
 
-def _config(cls, s, **extra):
-    """``cls`` built from the settings of the options mapped to its fields."""
-    fields = {name: s[key] for key, (owner, name) in _OPTIONS.items() if owner is cls}
-    return _checked(cls, **fields, **extra)
+def _config(owner, s, **extra):
+    """``owner`` called with the settings of the options mapped to it."""
+    fields = {name: s[key] for key, (o, name) in _OPTIONS.items() if o is owner}
+    return _checked(owner, **fields, **extra)
 
 
 def _write_text(path, text):
@@ -157,7 +158,7 @@ def _write_lines(path, lines):
 # subcommands
 
 
-def run_stats(args):
+def run_stats(args, s):
     corpus = read_corpus_file(args.corpus, mode="gold")
     reference = read_corpus_file(args.reference, mode="gold") if args.reference else None
     stats = corpus_stats(corpus, reference)
@@ -169,8 +170,7 @@ def run_stats(args):
     return 0
 
 
-def run_snippetize(args):
-    s = _settings(args)
+def run_snippetize(args, s):
     snip_cfg = _config(SnippetConfig, s)
     mode = "surface_only" if args.surface_only else "gold"
     corpus = read_corpus_file(args.corpus, mode=mode)
@@ -178,15 +178,14 @@ def run_snippetize(args):
     return 0
 
 
-def run_train(args):
-    s = _settings(args)
+def run_train(args, s):
     snip_cfg = _config(SnippetConfig, s)
     train_cfg = _config(TrainConfig, s, checkpoint_dir=args.checkpoint_dir)
 
     train_corpus = read_corpus_file(args.train_corpus, mode="gold")
     dev_corpus = read_corpus_file(args.dev_corpus, mode="gold")
     examples = examples_for_corpus(train_corpus, snip_cfg)
-    vocab = _checked(build_vocab, examples=examples, min_freq=s["min_freq"])
+    vocab = _config(build_vocab, s, examples=examples)
     model_cfg = _config(
         ModelConfig, s, source_vocab_size=vocab.source_size,
         target_vocab_size=vocab.target_size, rng_seed=s["seed"])
@@ -199,8 +198,7 @@ def run_train(args):
     return 0
 
 
-def run_predict(args):
-    s = _settings(args)
+def run_predict(args, s):
     snip_cfg = _config(SnippetConfig, s)
     voting = bool(s["vote"])
     if voting:
@@ -215,7 +213,7 @@ def run_predict(args):
     return 0
 
 
-def run_evaluate(args):
+def run_evaluate(args, s):
     pred = read_corpus_file(args.pred, mode="gold")
     gold = read_corpus_file(args.gold, mode="gold")
     reference = read_corpus_file(args.reference, mode="gold") if args.reference else None
@@ -226,21 +224,14 @@ def run_evaluate(args):
         splits.append(("seen", report.seen))
     names = [name for name, _ in splits]
     print("{:<20}".format("metric") + "".join(f"{n:>12}" for n in names))
-    rows = [
-        ("tokens", "token_count", "{:d}"),
-        ("lemma_accuracy", "lemma_accuracy", "{:.4f}"),
-        ("avg_lemma_distance", "avg_lemma_distance", "{:.4f}"),
-        ("tag_accuracy", "tag_accuracy", "{:.4f}"),
-        ("avg_tag_f1", "avg_tag_f1", "{:.4f}"),
-        ("analysis_accuracy", "analysis_accuracy", "{:.4f}"),
-    ]
-    for label, attr, fmt in rows:
-        cells = "".join(f"{fmt.format(getattr(sc, attr)):>12}" for _, sc in splits)
+    for name in (field.name for field in dataclasses.fields(SplitScores)):
+        label, fmt = ("tokens", "{:d}") if name == "token_count" else (name, "{:.4f}")
+        cells = "".join(f"{fmt.format(getattr(sc, name)):>12}" for _, sc in splits)
         print(f"{label:<20}" + cells)
     if args.kv:
         for name, sc in splits:
-            for _, attr, _ in rows:
-                print(f"{name}.{attr}={getattr(sc, attr)}")
+            for key, value in dataclasses.asdict(sc).items():
+                print(f"{name}.{key}={value}")
     return 0
 
 
@@ -248,10 +239,10 @@ def run_evaluate(args):
 # parser
 
 
-def _add_options(parser, *keys):
-    """Flags for the given options.  They default to None, so that the
-    config file and the built-in defaults fill in what is not passed."""
-    for key in keys:
+def _add_options(parser, *owners):
+    """Flags, in ``_OPTIONS`` order, for the options ``owners`` hold.  They
+    default to None, so that the config file and defaults fill in the rest."""
+    for key in (key for key, (owner, _) in _OPTIONS.items() if owner in owners):
         flag = "--" + key.replace("_", "-")
         if _FIELDS[key].annotation == "bool":
             parser.add_argument(flag, dest=key, action="store_true", default=None)
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="key=value option file; flags override it")
 
     snippet_opts = _Parser(add_help=False)
-    _add_options(snippet_opts, "mode", "window", "tc")
+    _add_options(snippet_opts, SnippetConfig)
 
     parser = _Parser(prog="lemtag",
                      description="Joint lemmatization and morphological tagging.")
@@ -287,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("train_corpus")
     p.add_argument("dev_corpus")
     p.add_argument("--checkpoint-dir", required=True)
-    _add_options(p, "min_freq", "embedding_size", "hidden_units", "layers", "dropout",
-                 "steps", "checkpoint_every", "lr", "lr_halve_start", "lr_halve_every",
-                 "batch_size", "clip_norm", "selection_metric", "seed", "retain_all")
+    _add_options(p, build_vocab, ModelConfig, TrainConfig)
     p.set_defaults(func=run_train)
 
     p = sub.add_parser("predict", parents=[shared, snippet_opts],
@@ -299,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--flags-out", dest="flags_out",
                    help="per-token diagnostic flags, one line per sentence")
-    _add_options(p, "beam", "max_length", "vote")
+    _add_options(p, DecodeConfig, predict_corpus)
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("evaluate", parents=[shared], help="score predictions")
@@ -315,7 +304,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, _settings(args))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

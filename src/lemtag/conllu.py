@@ -31,7 +31,7 @@ class MorphoTag:
 
     def __post_init__(self):
         for g in self.grammemes:
-            if not g or g == "_" or any(c in g for c in ";\t\n "):
+            if not g or g == "_" or ";" in g or " " in g or "\t" in g or "\n" in g or "\r" in g:
                 raise ValueError(f"invalid grammeme {g!r}")
         if list(self.grammemes) != sorted(set(self.grammemes)):
             raise ValueError(
@@ -53,8 +53,8 @@ class Analysis:
     tag: MorphoTag = EMPTY_TAG
 
     def __post_init__(self):
-        if "\t" in self.lemma or "\n" in self.lemma:
-            raise ValueError(f"lemma contains tab/newline: {self.lemma!r}")
+        if "\t" in self.lemma or "\n" in self.lemma or "\r" in self.lemma:
+            raise ValueError(f"lemma contains a tab or line break: {self.lemma!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class Token:
     def __post_init__(self):
         if not self.surface.strip():
             raise ValueError(f"blank surface form {self.surface!r}")
-        if "\t" in self.surface or "\n" in self.surface:
-            raise ValueError(f"surface contains tab/newline: {self.surface!r}")
+        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
+            raise ValueError(f"surface contains a tab or line break: {self.surface!r}")
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,7 @@ class Vocab:
 
     Control symbols occupy the first five indices on both sides; symbols
     seen fewer than ``min_freq`` times map to the unknown id.  A symbol is
-    a non-empty string without a tab or a newline; a target symbol after
+    a non-empty string without a tab or a line break; a target symbol after
     the control symbols is one character or a valid grammeme symbol.
     """
 
@@ -215,7 +215,7 @@ class Vocab:
         self.min_freq = min_freq
         check_integer("min_freq", min_freq, 1)
         for s in self.source_symbols + self.target_symbols:
-            if not isinstance(s, str) or not s or "\t" in s or "\n" in s:
+            if not isinstance(s, str) or not s or "\t" in s or "\n" in s or "\r" in s:
                 raise ValueError(f"invalid symbol {s!r}")
         if self.source_symbols[:5] != CONTROL_SYMBOLS or self.target_symbols[:5] != CONTROL_SYMBOLS:
             raise ValueError("vocab must start with the control symbols")

@@ -63,9 +63,10 @@ class CheckpointRecord:
 
 @dataclass(frozen=True)
 class TrainReport:
-    checkpoints: tuple
-    selected_step: int
+    # train() writes the fields to train_report.json in this order
     selection_metric: str
+    selected_step: int
+    checkpoints: tuple
 
 
 def lr_schedule(cfg: TrainConfig, step: int) -> float:
@@ -189,12 +190,7 @@ def train(model: Model, train_examples, dev_corpus: Corpus, vocab: Vocab,
                 os.remove(checkpoint_path(cfg.checkpoint_dir, record.step))
     os.symlink(os.path.basename(checkpoint_path(cfg.checkpoint_dir, selected)),
                os.path.join(cfg.checkpoint_dir, "best.ckpt"))
-    report = TrainReport(tuple(records), selected, cfg.selection_metric)
-    payload = {
-        "selection_metric": report.selection_metric,
-        "selected_step": report.selected_step,
-        "checkpoints": [asdict(r) for r in report.checkpoints],
-    }
+    report = TrainReport(cfg.selection_metric, selected, tuple(records))
     with open(os.path.join(cfg.checkpoint_dir, "train_report.json"), "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, indent=2) + "\n")
+        f.write(json.dumps(asdict(report), indent=2) + "\n")
     return best_model, report

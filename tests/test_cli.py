@@ -1,13 +1,15 @@
 import hashlib
 import json
 import struct
+import sys
 import zlib
 
 import pytest
 
 from lemtag import cli
 from lemtag.cli import main
-from lemtag.conllu import read_corpus_file, write_corpus
+from lemtag.conllu import (Analysis, Corpus, MorphoTag, Sentence, Token, read_corpus_file,
+                           write_corpus)
 from lemtag.model import (CheckpointError, ModelConfig, init_model, load_model,
                           save_model)
 from lemtag.snippets import (CONTROL_SYMBOLS, SnippetConfig, Vocab,
@@ -217,13 +219,14 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("target_symbols", lambda symbols: symbols[:-1] + [5]),
     ("target_symbols", lambda symbols: symbols[:-1] + [""]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["\t"]),
+    ("target_symbols", lambda symbols: symbols[:-1] + ["\r"]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["+_"]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["+a;b"]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["ab"]),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
         "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
         "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch",
-        "int-symbol", "empty-symbol", "tab-symbol", "empty-tag-grammeme",
+        "int-symbol", "empty-symbol", "tab-symbol", "cr-symbol", "empty-tag-grammeme",
         "multi-grammeme-symbol", "multi-character-symbol"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,
                                                             edit):
@@ -375,3 +378,73 @@ def test_evaluate_plain_table(tmp_path, capsys, gold_file):
     assert table["lemma_accuracy"] == "1.0000"
     assert table["avg_lemma_distance"] == "0.0000"
     assert table["analysis_accuracy"] == "1.0000"
+
+
+def _scored_files(tmp_path):
+    """A gold corpus, a prediction with wrong lemmata and tags, and a
+    reference that has seen some of the gold lexical forms."""
+    gold = make_corpus(6, seed=0)
+
+    def predicted(k, tok):
+        lemma = tok.gold.lemma + ("x" if k % 3 == 0 else "")
+        tag = MorphoTag(("n", "sg")) if k % 4 == 0 else tok.gold.tag
+        return Token(tok.surface, Analysis(lemma, tag))
+
+    pred = Corpus(tuple(Sentence(tuple(predicted(s + j, tok) for j, tok in enumerate(sent.tokens)))
+                        for s, sent in enumerate(gold)))
+    paths = {}
+    for name, corpus in (("pred", pred), ("gold", gold), ("ref", make_corpus(2, seed=0))):
+        paths[name] = tmp_path / f"{name}.tsv"
+        paths[name].write_text(write_corpus(corpus), encoding="utf-8")
+    return paths
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_evaluate_output_bytes_are_pinned(tmp_path, capsys):
+    paths = _scored_files(tmp_path)
+    code, table, err = run(capsys, "evaluate", str(paths["pred"]), str(paths["gold"]))
+    assert code == 0, err
+    code, split_kv, err = run(capsys, "evaluate", str(paths["pred"]), str(paths["gold"]),
+                              "--reference", str(paths["ref"]), "--kv")
+    assert code == 0, err
+    assert "oov" in split_kv and "overall.token_count=" in split_kv
+    assert {"table": _digest(table), "split_kv": _digest(split_kv)} == {
+        "table": "8208dc6f3df081465b933731e3c1f857a547d136dec7dbd444a7dd09c977a960",
+        "split_kv": "3ab17d1945a652e5ef2f511a761257b6127458c6ef26fb0c05ce94d0cc534567",
+    }
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python releases")
+def test_help_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for sub in ("stats", "snippetize", "train", "predict", "evaluate"):
+        with pytest.raises(SystemExit) as exit_:
+            main([sub, "--help"])
+        assert exit_.value.code == 0
+        digests[sub] = _digest(capsys.readouterr().out)
+    assert digests == {
+        "stats": "a5dead73bcfcfaf95ebfdc58fecb53216a18eef87ddc231518d3b88c4e8d6dc2",
+        "snippetize": "94bb6d74dd4c700b1824860410d60dfb056d88cb8d9ea2e1db102feba75a73d8",
+        "train": "4c1d12a09e1da5ccc111e04cd93f8ba4ff7308bd4139a34483ccd299556c8de4",
+        "predict": "239ea529b480216c9259ac22a2590696484dfc86307bb3ff6441dc9401820224",
+        "evaluate": "e6db9ad8accecc042e0a002f7dd74978f47c369ea2d77cf3df4dd96c50bcb6be",
+    }
+
+
+@pytest.mark.parametrize("config", ["absent", "latin1", "unknown"])
+def test_stats_and_evaluate_read_the_config_file(tmp_path, capsys, gold_file, config):
+    path = tmp_path / f"{config}.cfg"
+    if config == "latin1":
+        path.write_bytes(b"window = 2\n# caf\xe9\n")
+    elif config == "unknown":
+        path.write_text("window = 2\nwindowz = 2\n", encoding="utf-8")
+    for argv in (("stats", gold_file), ("evaluate", gold_file, gold_file)):
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 1 and out == ""
+        if config != "absent":
+            assert f"{path}:2:" in err

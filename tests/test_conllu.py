@@ -131,6 +131,23 @@ def test_underscore_grammeme_is_an_error_at_its_line():
     assert parse_corpus("a\ta\t_\n").sentences[0].tokens[0].gold.tag == EMPTY_TAG
 
 
+def test_carriage_return_inside_a_field_is_an_error_at_its_line():
+    """Only the line end's own CR is dropped.  A CR left inside a field
+    would be written back as a CRLF line end and lost on reading (``N\r``
+    read as ``N``), or leave a line that does not parse (a tag ``\r``)."""
+    for bad, mode in (("a\ta\tN\r\r\n", "gold"), ("sleep\tsleep\t\r\r\n", "gold"),
+                      ("a\tb\rc\tN\n", "gold"), ("a\tb\rc\tN\r\n", "gold"),
+                      ("a\rb\tab\tN;PL\n", "gold"), ("a\ta\tN;\rPL\n", "gold"),
+                      ("b\r\r\n", "surface_only")):
+        with pytest.raises(CorpusFormatError, match="tab or line break|invalid grammeme") as err:
+            parse_corpus("x\tx\tN\n" + bad, mode=mode)
+        assert err.value.line == 2
+    assert parse_corpus("a\ta\tN\r\n") == parse_corpus("a\ta\tN\n")
+    for bad in (lambda: Token("a\rb"), lambda: Analysis("a\r"), lambda: MorphoTag(("\r",))):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_write_round_trips_sample():
     corpus = parse_corpus(SAMPLE)
     text = write_corpus(corpus)

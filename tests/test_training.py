@@ -228,8 +228,10 @@ def test_train_micro_run_artifacts(tmp_path):
     assert kept == expected
     assert (run_dir / "training.log").exists()
     written = json.loads((run_dir / "train_report.json").read_text(encoding="utf-8"))
-    assert TrainReport(tuple(CheckpointRecord(**r) for r in written["checkpoints"]),
-                       written["selected_step"], written["selection_metric"]) == report
+    assert TrainReport(
+        checkpoints=tuple(CheckpointRecord(**r) for r in written["checkpoints"]),
+        selected_step=written["selected_step"],
+        selection_metric=written["selection_metric"]) == report
     reloaded, _ = load_model(str(link), expect_vocab=vocab)
     for name in best.params:
         assert np.array_equal(best.params[name], reloaded.params[name])
@@ -283,5 +285,6 @@ def test_train_report_is_a_value_object():
     same = CheckpointRecord(10, 0.5, {"analysis_accuracy": 0.9})
     other = CheckpointRecord(10, 0.5, {"analysis_accuracy": 0.8})
     assert rec == same and rec != other
-    assert TrainReport((rec,), 10, "analysis_accuracy") == \
-        TrainReport((same,), 10, "analysis_accuracy")
+    assert TrainReport(checkpoints=(rec,), selected_step=10,
+                       selection_metric="analysis_accuracy") == \
+        TrainReport(checkpoints=(same,), selected_step=10, selection_metric="analysis_accuracy")
