@@ -65,6 +65,9 @@ class Token:
     def __post_init__(self):
         if not self.surface.strip():
             raise ValueError(f"blank surface form {self.surface!r}")
+        # a written line starting so would read back as a comment or lose the mark
+        if self.surface.startswith(("#", "\ufeff")):
+            raise ValueError(f"surface starts with '#' or a byte-order mark: {self.surface!r}")
         if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
             raise ValueError(f"surface contains a tab or line break: {self.surface!r}")
 
@@ -124,11 +127,10 @@ def tag_to_string(tag: MorphoTag) -> str:
     return ";".join(tag.grammemes) if tag.grammemes else "_"
 
 
-def parse_corpus(text, mode: str = "gold") -> Corpus:
-    """Parse corpus text into a Corpus.
+def parse_corpus(text: str, mode: str = "gold") -> Corpus:
+    """Parse corpus text into a Corpus.  Lines end at LF; one CR before
+    an LF (a CRLF line end) is dropped.
 
-    ``text`` may be a string, an open text file, or an iterable of lines
-    (with or without their ``"\n"``).
     In ``gold`` mode every token line needs FORM, LEMMA and TAG columns and
     tags are normalized; in ``surface_only`` mode anything past FORM is
     ignored.  Raises CorpusFormatError with a line number on bad input.
@@ -138,10 +140,9 @@ def parse_corpus(text, mode: str = "gold") -> Corpus:
     sentences = []
     tokens: list[Token] = []
     block_start = None
-    lines = text.split("\n") if isinstance(text, str) else text
     # the blank line after the input ends the last block like any other
-    for lineno, line in enumerate(itertools.chain(lines, [""]), start=1):
-        line = line.rstrip("\n").removesuffix("\r")
+    for lineno, line in enumerate(itertools.chain(text.split("\n"), [""]), start=1):
+        line = line.removesuffix("\r")
         if line == "":
             if block_start is not None:
                 if not tokens:

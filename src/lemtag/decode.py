@@ -1,6 +1,7 @@
 """Inference: greedy and beam search, and majority voting over
 overlapping context windows; ``snippets``, the owner of the analysis
-symbol format, reads decoded symbol streams back into analyses.
+symbol format and of the window layout, reads decoded symbol streams back
+into analyses and gathers each token's units into its ballot.
 
 Per-token flags record anything suspicious on the way from symbols to
 analyses: "truncated" (decode hit the length limit), "malformed" (a unit
@@ -21,8 +22,8 @@ from .conllu import EMPTY_TAG, Analysis, Corpus, Sentence, Token
 from .model import (Model, _softmax, check_vocab, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, SnippetConfig, Vocab,
-                       check_integer, encode, examples_for_corpus,
-                       parse_analysis_units, window_span)
+                       build_ballots, check_integer, encode,
+                       examples_for_corpus, parse_analysis_units)
 
 FLAG_TRUNCATED = "truncated"
 FLAG_MALFORMED = "malformed"
@@ -30,8 +31,9 @@ FLAG_SHORT = "short"
 FLAG_MISMATCH = "mismatch"
 
 
-# examples per batched search in predict_corpus; outputs do not depend on
-# it, it only trades padding against batch width
+# examples per batched search in predict_corpus, trading padding against
+# batch width; the padded batch can move float32 logits in the last bits,
+# though no decode in the tests or on the benchmark corpora has changed
 CHUNK_SOURCES = 32
 
 
@@ -219,31 +221,6 @@ def align_full_sequence(units: list[Analysis], sentence: Sentence):
     """
     fallbacks = [Analysis(token.surface, EMPTY_TAG) for token in sentence.tokens[len(units):]]
     return list(units[:len(sentence)]) + fallbacks, len(units) != len(sentence)
-
-
-def build_ballots(sentence_length: int, window: int, decoded_units):
-    """Collect per-token candidate lists from every covering snippet.
-
-    ``window`` is the target window (``SnippetConfig.target_window``): the
-    context words to each side whose units a snippet's target holds.
-    ``decoded_units`` holds, per snippet (one per focal token), its list of
-    decoded units.  Token i is covered by snippet j when |i - j| <= window; the
-    unit ordinal inside snippet j is i minus the first token of j's target
-    window (``window_span``).  A snippet too short to supply the unit
-    contributes None at that slot.  Each ballot entry is (unit-or-None,
-    focal distance, snippet index).
-    """
-    ballots = []
-    for i in range(sentence_length):
-        entries = []
-        first, last = window_span(sentence_length, i, window)
-        for j in range(first, last + 1):
-            ordinal = i - window_span(sentence_length, j, window)[0]
-            units = decoded_units[j]
-            got = units[ordinal] if ordinal < len(units) else None
-            entries.append((got, abs(i - j), j))
-        ballots.append(entries)
-    return ballots
 
 
 def majority_vote(ballot):

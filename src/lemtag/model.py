@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .snippets import PAD_ID, Vocab, check_integer
+from .snippets import PAD_ID, Vocab, check_integer, check_real
 
 CHECKPOINT_MAGIC = b"LMTG"
 CHECKPOINT_VERSION = 1
@@ -51,8 +51,7 @@ class ModelConfig:
                      "hidden_units", "layers"):
             check_integer(name, getattr(self, name), 1)
         check_integer("rng_seed", self.rng_seed, 0)
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+        check_real("dropout_p must be in [0, 1)", self.dropout_p, high=1.0, closed_low=True)
         if self.attention != "general":
             raise ValueError(f"unsupported attention score {self.attention!r}")
 
@@ -515,10 +514,9 @@ def backward(model, batch, rng=None):
 def sgd_update(model, grads, lr, clip_norm=None):
     """Clip gradients to a global norm (``clip_norm`` None for no
     clipping), then take one SGD step in place."""
-    if not 0 < lr < np.inf:
-        raise ValueError("learning rate must be positive and finite")
-    if clip_norm is not None and not 0 < clip_norm < np.inf:
-        raise ValueError("clip_norm must be positive and finite, or None")
+    check_real("learning rate must be positive and finite", lr)
+    if clip_norm is not None:
+        check_real("clip_norm must be positive and finite, or None", clip_norm)
     sq = 0.0
     for g in grads.values():
         # squared in double precision: a float32 square overflows from about 2e19

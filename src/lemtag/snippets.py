@@ -4,19 +4,21 @@ A sequence is a list of atomic symbols: single characters, ``+``-prefixed
 grammeme labels, or multi-character control symbols.  Words on the source
 side and analyses on the target side are each terminated by the word
 boundary symbol.  This module owns the analysis format both ways
-(``tokenize_analysis``, ``parse_analysis_units``).  Two operating modes
-exist: one sequence pair per sentence (full_sequence, the window that
-spans the whole sentence), or one pair per focal token covering ``W``
-words of context to each side (context_window).
+(``tokenize_analysis``, ``parse_analysis_units``) and the window layout
+both ways (``examples_for_corpus``, ``build_ballots``).  Two operating
+modes exist: one sequence pair per sentence (full_sequence, the window
+that spans the whole sentence), or one pair per focal token covering
+``W`` words of context to each side (context_window).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
 
-from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
+from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Token
 
 # Control symbols, always present in both vocabularies at these indices.
 PADDING = "<PAD>"
@@ -40,6 +42,16 @@ def check_integer(name: str, value, minimum: int):
     below ``minimum``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
+
+
+def check_real(message: str, value, low: float = 0.0, high: float = math.inf,
+               closed_low: bool = False):
+    """Raise ValueError(``message``) for a config value that is not a real
+    number (bools included) or lies outside (low, high), [low, high) when
+    ``closed_low``; NaN lies outside every range."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (low <= value if closed_low else low < value) or not value < high):
+        raise ValueError(message)
 
 
 def is_grammeme_symbol(symbol: str) -> bool:
@@ -158,46 +170,56 @@ def window_span(length: int, focal: int, window: int) -> tuple[int, int]:
     return max(0, focal - window), min(length - 1, focal + window)
 
 
-def _examples(sentence: Sentence, spans, tc_mode: str,
-              sentence_id: int) -> list[SnippetExample]:
-    """One example per (source range, target range, focal) span, each range
-    a (first, last) token pair: the source renders the surfaces of its
-    range, the target the focal token's analysis and every other token of
-    its range by ``tc_mode``.  Targets are present only when the whole
-    sentence has gold analyses, checked once for all spans."""
-    tokens = sentence.tokens
-    have_gold = all(tok.gold is not None for tok in tokens)
-    examples = []
-    for (first, last), (target_first, target_last), focal in spans:
-        source = [sym for tok in tokens[first:last + 1] for sym in tokenize_surface(tok)]
-        target = None
-        if have_gold:
-            target = []
-            for j in range(target_first, target_last + 1):
-                target.extend(_target_unit(tokens[j], "both" if j == focal else tc_mode))
-            target = tuple(target)
-        examples.append(SnippetExample(tuple(source), target, sentence_id))
-    return examples
-
-
 def examples_for_corpus(corpus: Corpus, cfg: SnippetConfig) -> list[SnippetExample]:
     """All examples of a corpus in sentence order: in full_sequence mode one
     per sentence, covering it whole with every token rendered by its
     analysis; in context_window mode one per focal token, its source and
     target windows (``window`` and ``target_window``) clipped at the
-    sentence edges."""
+    sentence edges.  A source renders the surfaces of its window, a target
+    the focal token's analysis and every other token of its window by
+    ``tc_mode``; targets are present only when the whole sentence has gold
+    analyses."""
+    full = cfg.mode == "full_sequence"
+    tc_mode = "both" if full else cfg.tc_mode
     examples = []
     for sid, sentence in enumerate(corpus):
-        length = len(sentence)
-        if cfg.mode == "full_sequence":
-            spans, tc_mode = [((0, length - 1), (0, length - 1), None)], "both"
-        else:
-            spans = [(window_span(length, focal, cfg.window),
-                      window_span(length, focal, cfg.target_window), focal)
-                     for focal in range(length)]
-            tc_mode = cfg.tc_mode
-        examples.extend(_examples(sentence, spans, tc_mode, sid))
+        tokens, length = sentence.tokens, len(sentence)
+        # a full sequence is the one window around token 0 as wide as the sentence
+        window, target_window = (length, length) if full else (cfg.window, cfg.target_window)
+        have_gold = all(tok.gold is not None for tok in tokens)
+        for focal in range(1 if full else length):
+            first, last = window_span(length, focal, window)
+            source = [sym for tok in tokens[first:last + 1] for sym in tokenize_surface(tok)]
+            target = None
+            if have_gold:
+                first, last = window_span(length, focal, target_window)
+                target = []
+                for j in range(first, last + 1):
+                    target.extend(_target_unit(tokens[j], "both" if j == focal else tc_mode))
+                target = tuple(target)
+            examples.append(SnippetExample(tuple(source), target, sid))
     return examples
+
+
+def build_ballots(sentence_length: int, window: int, decoded_units):
+    """Collect per-token candidate lists from every covering window.
+
+    ``window`` is the target window (``SnippetConfig.target_window``): the
+    context words to each side whose units a window's target holds, as
+    ``examples_for_corpus`` lays them out.  ``decoded_units`` holds, per
+    window (one per focal token), its list of decoded units; unit k of
+    window j belongs to token k plus the first token of j's target window.
+    A window too short to supply the unit contributes None at that slot.
+    Each ballot entry is (unit-or-None, focal distance, window index), in
+    window order.
+    """
+    ballots = [[] for _ in range(sentence_length)]
+    for j in range(sentence_length):
+        units = decoded_units[j]
+        first, last = window_span(sentence_length, j, window)
+        for k, i in enumerate(range(first, last + 1)):
+            ballots[i].append((units[k] if k < len(units) else None, abs(i - j), j))
+    return ballots
 
 
 class Vocab:

@@ -15,7 +15,7 @@ from .conllu import Corpus
 from .decode import DecodeConfig, predict_corpus
 from .metrics import evaluate
 from .model import Model, backward, check_vocab, load_model, make_batch, save_model, sgd_update
-from .snippets import SnippetConfig, Vocab, check_integer, encode
+from .snippets import SnippetConfig, Vocab, check_integer, check_real, encode
 
 SELECTION_METRICS = ("analysis_accuracy", "lemma_accuracy", "tag_accuracy")
 _DROPOUT_SALT = 0xD0D0
@@ -46,10 +46,9 @@ class TrainConfig:
             check_integer(name, getattr(self, name), minimum)
         if self.total_steps % self.checkpoint_every != 0:
             raise ValueError("checkpoint_every must divide total_steps")
-        if not 0 < self.lr_initial < np.inf:
-            raise ValueError("lr_initial must be positive and finite")
-        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
-            raise ValueError("clip_norm must be positive and finite, or None")
+        check_real("lr_initial must be positive and finite", self.lr_initial)
+        if self.clip_norm is not None:
+            check_real("clip_norm must be positive and finite, or None", self.clip_norm)
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 

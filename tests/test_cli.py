@@ -211,6 +211,7 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("config", lambda config: dict(config, hidden_units=64.0)),
     ("config", lambda config: dict(config, embedding_size=True)),
     ("config", lambda config: dict(config, rng_seed=1.5)),
+    ("config", lambda config: dict(config, dropout_p=False)),
     ("min_freq", lambda min_freq: 0),
     ("min_freq", lambda min_freq: "x"),
     ("min_freq", lambda min_freq: 1.5),
@@ -224,8 +225,8 @@ def test_predict_corrupt_checkpoint_is_a_data_error(capsys, tmp_path, gold_file)
     ("target_symbols", lambda symbols: symbols[:-1] + ["+a;b"]),
     ("target_symbols", lambda symbols: symbols[:-1] + ["ab"]),
 ], ids=["missing-field", "unknown-field", "not-an-object", "float-layers",
-        "float-hidden-units", "bool-embedding-size", "float-rng-seed", "zero-min-freq",
-        "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch",
+        "float-hidden-units", "bool-embedding-size", "float-rng-seed", "bool-dropout",
+        "zero-min-freq", "text-min-freq", "float-min-freq", "null-min-freq", "vocab-size-mismatch",
         "int-symbol", "empty-symbol", "tab-symbol", "cr-symbol", "empty-tag-grammeme",
         "multi-grammeme-symbol", "multi-character-symbol"])
 def test_predict_checkpoint_with_bad_config_is_a_data_error(capsys, tmp_path, gold_file, key,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lemtag import decode as decode_mod
+from lemtag import snippets as snippets_mod
 from lemtag.conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
 from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
                            beam_ids, build_ballots, greedy_decode, greedy_ids,
@@ -192,6 +193,23 @@ def test_ballots_short_snippet_contributes_none():
     # token 1 is the second unit of snippets 0 and 1 (both too short) and
     # the first unit of snippet 2
     assert ballots[1] == [(None, 1, 0), (None, 0, 1), (analysis("c0"), 1, 2)]
+
+
+def test_ballots_are_built_where_windows_are_laid_out():
+    # snippets writes the window layout (examples_for_corpus) and reads it back
+    assert decode_mod.build_ballots is snippets_mod.build_ballots
+
+
+def test_ballots_take_each_window_span_once(monkeypatch):
+    span, calls = snippets_mod.window_span, []
+
+    def counted(length, focal, window):
+        calls.append(focal)
+        return span(length, focal, window)
+
+    monkeypatch.setattr(snippets_mod, "window_span", counted)
+    build_ballots(5, 1, [[analysis("x")] * 3 for _ in range(5)])
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_ballot_sizes_match_coverage_law():

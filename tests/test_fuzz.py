@@ -4,9 +4,10 @@
 Each test mutates a small valid input with numpy's generator seeded from
 ``SEED`` and runs the subcommands on it in-process through ``cli.main``.
 A run may succeed or fail as a usage (1) or data (2) error, never as a
-runtime failure (3) or an uncaught exception.  The three tests share a
-budget of ``BUDGET_S`` seconds; a test that runs out of its share stops
-early and prints how many mutations it ran.
+runtime failure (3) or an uncaught exception, and a corpus file that
+reads is read back equal from the file ``write_corpus`` makes of it.
+The three tests share a budget of ``BUDGET_S`` seconds; a test that runs
+out of its share stops early and prints how many mutations it ran.
 """
 
 import json
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from lemtag import cli
-from lemtag.conllu import CorpusFormatError, parse_corpus, read_corpus_file, write_corpus
+from lemtag.conllu import CorpusFormatError, read_corpus_file, write_corpus
 from lemtag.model import ModelConfig, init_model, save_model
 from lemtag.snippets import SnippetConfig, build_vocab, examples_for_corpus
 from toycorpus import make_corpus
@@ -84,7 +85,7 @@ def test_mutated_corpora(tmp_path, capsys, gold_path):
     text = _corpus_text()
     renderings = (text.encode("utf-8"), b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
     rng = np.random.default_rng((SEED, 1))
-    path, out = tmp_path / "mutated.tsv", tmp_path / "out.txt"
+    path, out, written = tmp_path / "mutated.tsv", tmp_path / "out.txt", tmp_path / "written.tsv"
     for i in _runs(200, 0.4):
         path.write_bytes(_mutate(renderings[i % 2], rng))
         try:
@@ -96,7 +97,8 @@ def test_mutated_corpora(tmp_path, capsys, gold_path):
             assert code == 2 and msg == f"error: {err}\n"
             assert msg.startswith(f"error: line {err.line}: ")
         else:
-            assert parse_corpus(write_corpus(corpus)) == corpus, path.read_bytes()
+            written.write_bytes(write_corpus(corpus).encode("utf-8"))
+            assert read_corpus_file(written) == corpus, path.read_bytes()
             assert _main(capsys, "stats", path, "--reference", path)[0] == 0
         code, _ = _main(capsys, "snippetize", path, "--out", out)
         assert code == (0 if corpus is not None else 2)

@@ -59,6 +59,10 @@ def test_config_validation():
     for seed in (1.5, -1, True):
         with pytest.raises(ValueError, match="rng_seed"):
             tiny_config(rng_seed=seed)
+    # a bool used to pass as 1 or 0, and text raised TypeError
+    for dropout_p in (False, True, "0.3", None):
+        with pytest.raises(ValueError, match="dropout_p"):
+            tiny_config(dropout_p=dropout_p)
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -537,13 +541,14 @@ def test_sgd_rejects_non_finite():
         for name in before.params:
             assert np.array_equal(m.params[name], before.params[name]), name
 
-    # an infinite rate used to write NaN weights with only a RuntimeWarning
-    for lr in (float("nan"), float("inf")):
+    # an infinite rate used to write NaN weights with only a RuntimeWarning;
+    # a bool used to pass as 1, and text raised TypeError
+    for lr in (float("nan"), float("inf"), True, "1"):
         with pytest.raises(ValueError, match="learning rate"):
             sgd_update(m, grads, lr=lr)
         assert_unchanged()
     # a NaN, zero, negative or infinite clip norm used to switch clipping off silently
-    for clip_norm in (float("nan"), 0.0, -1.0, float("inf")):
+    for clip_norm in (float("nan"), 0.0, -1.0, float("inf"), True, "1"):
         with pytest.raises(ValueError, match="clip_norm"):
             sgd_update(m, grads, lr=1.0, clip_norm=clip_norm)
         assert_unchanged()

@@ -67,10 +67,11 @@ def test_train_config_validation():
         TrainConfig(clip_norm=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_initial=0.0)
-    for settings in ({"lr_initial": float("nan")}, {"lr_initial": float("inf")},
-                     {"clip_norm": float("nan")}, {"clip_norm": float("inf")}):
-        with pytest.raises(ValueError, match="finite"):
-            TrainConfig(**settings)
+    # a bool used to pass as 1 or 0, and text raised TypeError
+    for value in (float("nan"), float("inf"), True, False, "1"):
+        for name in ("lr_initial", "clip_norm"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                TrainConfig(**{name: value})
     for sizes in ({"batch_size": 2.5}, {"checkpoint_every": 2.0}, {"rng_seed": 1.5},
                   {"total_steps": 10.0, "checkpoint_every": 5},
                   {"lr_halve_start_step": 0.5}, {"lr_halve_every": 1.5},
