@@ -44,13 +44,12 @@ def check_integer(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
-def check_real(message: str, value, low: float = 0.0, high: float = math.inf,
-               closed_low: bool = False):
+def check_real(message: str, value, high: float = math.inf, closed_low: bool = False):
     """Raise ValueError(``message``) for a config value that is not a real
-    number (bools included) or lies outside (low, high), [low, high) when
+    number (bools included) or lies outside (0, high), [0, high) when
     ``closed_low``; NaN lies outside every range."""
     if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not (low <= value if closed_low else low < value) or not value < high):
+            or not (0 <= value if closed_low else 0 < value) or not value < high):
         raise ValueError(message)
 
 
