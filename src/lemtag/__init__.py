@@ -6,10 +6,9 @@ from .conllu import (Analysis, Corpus, CorpusFormatError, CorpusStats,
                      MorphoTag, Sentence, Token, corpus_stats, lexical_forms,
                      normalize_tag, parse_corpus, read_corpus_file,
                      tag_to_string, write_corpus)
-from .decode import (DecodeConfig, align_full_sequence, beam_decode,
-                     build_ballots, greedy_decode, majority_vote,
-                     parse_analysis_units, predict_corpus, predict_sentence,
-                     score_sequence)
+from .decode import (DecodeConfig, beam_decode, build_ballots,
+                     greedy_decode, majority_vote, parse_analysis_units,
+                     predict_corpus, predict_sentence, score_sequence)
 from .metrics import (EvalAlignmentError, EvalReport, SplitScores, TagScore,
                       evaluate, levenshtein, tag_f1)
 from .model import (Batch, CheckpointError, Model, ModelConfig, attend,

@@ -6,8 +6,9 @@ into analyses and gathers each token's units into its ballot.
 Per-token flags record anything suspicious on the way from symbols to
 analyses: "truncated" (decode hit the length limit), "malformed" (a unit
 with no lemma character, a lemma character after a grammeme, or <UNK>),
-"short" (decode produced fewer units than the window needs, fallback
-used) and "mismatch" (full-sequence unit count differs from the token count).
+"short" (a context window decoded fewer units than it needs, fallback
+used) and "mismatch" (full-sequence unit count differs from the token count;
+a token left without a unit takes the same fallback, without "short").
 """
 
 from __future__ import annotations
@@ -209,18 +210,7 @@ def greedy_decode(model: Model, source_ids, vocab: Vocab,
 
 
 # ---------------------------------------------------------------------------
-# units -> analyses: full-sequence alignment and voting
-
-
-def align_full_sequence(units: list[Analysis], sentence: Sentence):
-    """Map decoded units onto tokens positionally.
-
-    Equal counts align one-to-one.  Otherwise the longest positional prefix
-    is kept, missing positions fall back to (surface, empty tag), extra
-    units are dropped, and the mismatch flag is returned True.
-    """
-    fallbacks = [Analysis(token.surface, EMPTY_TAG) for token in sentence.tokens[len(units):]]
-    return list(units[:len(sentence)]) + fallbacks, len(units) != len(sentence)
+# voting
 
 
 def majority_vote(ballot):
@@ -264,26 +254,24 @@ def predict_sentence(model: Model, sentence: Sentence, vocab: Vocab,
 
 def _sentence_analyses(sentence, decoded, snippet_cfg, voting):
     """Analyses and flags of one sentence from its examples' decodes,
-    each (units, malformed flags, finished flag)."""
+    each (units, malformed flags, finished flag).  Without voting each
+    token takes its nearest window: the focal one in context_window mode,
+    the only one in full_sequence mode."""
     length = len(sentence)
-    if snippet_cfg.mode == "full_sequence":
-        # one ballot entry per token: its aligned unit or the surface fallback
-        (units, malformed, _), = decoded
-        aligned, mismatch = align_full_sequence(units, sentence)
-        ballots = [[(unit, 0, 0)] for unit in zip(aligned, malformed + [False] * length)]
-    else:
-        mismatch = False
-        ballots = build_ballots(length, snippet_cfg.target_window,
-                                [list(zip(units, malformed)) for units, malformed, _ in decoded])
+    # a full sequence flags every token when its unit count is off, not each missing unit
+    mismatch = snippet_cfg.mode == "full_sequence" and len(decoded[0][0]) != length
+    ballots = build_ballots(length, snippet_cfg,
+                            [list(zip(units, malformed)) for units, malformed, _ in decoded])
     flags = [{FLAG_MISMATCH} if mismatch else set() for _ in range(length)]
     analyses: list[Analysis] = []
     for i, ballot in enumerate(ballots):
         if not voting:
-            ballot = [entry for entry in ballot if entry[1] == 0]  # the focal window
+            ballot = [min(ballot, key=lambda entry: entry[1])]
         filled = []
         for unit, dist, j in ballot:
             if unit is None:
-                flags[i].add(FLAG_SHORT)
+                if not mismatch:
+                    flags[i].add(FLAG_SHORT)
                 unit = (Analysis(sentence.tokens[i].surface, EMPTY_TAG), False)
             got, bad = unit
             if bad:

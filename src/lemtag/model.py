@@ -57,30 +57,30 @@ class ModelConfig:
 
 
 def _param_shapes(cfg: ModelConfig):
-    """Parameter names and shapes in declared (checkpoint) order."""
+    """Parameter names and shapes in declared (checkpoint) order, yielded
+    one at a time: a checkpoint header may claim more layers than its data
+    holds, and ``load_model`` stops at the first tensor that is missing."""
     e, h, g = cfg.embedding_size, cfg.hidden_units, 4 * cfg.hidden_units
-    shapes: dict[str, tuple[int, ...]] = {}
-    shapes["src_embed"] = (cfg.source_vocab_size, e)
-    shapes["tgt_embed"] = (cfg.target_vocab_size, e)
+    yield "src_embed", (cfg.source_vocab_size, e)
+    yield "tgt_embed", (cfg.target_vocab_size, e)
     for layer in range(cfg.layers):
         din = e if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
-            shapes[f"enc{layer}_{direction}_Wx"] = (din, g)
-            shapes[f"enc{layer}_{direction}_Wh"] = (h, g)
-            shapes[f"enc{layer}_{direction}_b"] = (g,)
+            yield f"enc{layer}_{direction}_Wx", (din, g)
+            yield f"enc{layer}_{direction}_Wh", (h, g)
+            yield f"enc{layer}_{direction}_b", (g,)
     for layer in range(cfg.layers):
         din = e if layer == 0 else h
-        shapes[f"dec{layer}_Wx"] = (din, g)
-        shapes[f"dec{layer}_Wh"] = (h, g)
-        shapes[f"dec{layer}_b"] = (g,)
+        yield f"dec{layer}_Wx", (din, g)
+        yield f"dec{layer}_Wh", (h, g)
+        yield f"dec{layer}_b", (g,)
     for layer in range(cfg.layers):
-        shapes[f"bridge{layer}_h"] = (2 * h, h)
-        shapes[f"bridge{layer}_c"] = (2 * h, h)
-    shapes["attn_W"] = (h, 2 * h)
-    shapes["combo_W"] = (3 * h, h)
-    shapes["out_W"] = (h, cfg.target_vocab_size)
-    shapes["out_b"] = (cfg.target_vocab_size,)
-    return shapes
+        yield f"bridge{layer}_h", (2 * h, h)
+        yield f"bridge{layer}_c", (2 * h, h)
+    yield "attn_W", (h, 2 * h)
+    yield "combo_W", (3 * h, h)
+    yield "out_W", (h, cfg.target_vocab_size)
+    yield "out_b", (cfg.target_vocab_size,)
 
 
 class Model:
@@ -98,7 +98,7 @@ def init_model(cfg: ModelConfig) -> Model:
     """Uniform [-0.1, 0.1] init from cfg.rng_seed; LSTM forget biases set to 1."""
     rng = np.random.default_rng(cfg.rng_seed)
     params = {}
-    for name, shape in _param_shapes(cfg).items():
+    for name, shape in _param_shapes(cfg):
         params[name] = rng.uniform(-0.1, 0.1, size=shape).astype(np.float32)
     h = cfg.hidden_units
     for name in params:
@@ -513,8 +513,9 @@ def backward(model, batch, rng=None):
 
 def sgd_update(model, grads, lr, clip_norm=None):
     """Clip gradients to a global norm (``clip_norm`` None for no
-    clipping), then take one SGD step in place."""
-    check_real("learning rate must be positive and finite", lr)
+    clipping), then take one SGD step in place; a rate of 0, where a long
+    halving schedule underflows, leaves the parameters as they are."""
+    check_real("learning rate must be non-negative and finite", lr, closed_low=True)
     if clip_norm is not None:
         check_real("clip_norm must be positive and finite, or None", clip_norm)
     sq = 0.0
@@ -524,11 +525,12 @@ def sgd_update(model, grads, lr, clip_norm=None):
     norm = float(np.sqrt(sq))
     if not np.isfinite(norm):
         raise ValueError("non-finite gradients")
-    scale = 1.0
+    step = lr
     if clip_norm is not None and norm > clip_norm:
-        scale = clip_norm / norm
-    for name, param in model.params.items():
-        param -= lr * scale * grads[name]
+        step = lr * (clip_norm / norm)
+    if step:  # subtracting a zero step could still turn a -0.0 weight into 0.0
+        for name, param in model.params.items():
+            param -= step * grads[name]
     return model
 
 
@@ -587,12 +589,14 @@ def load_model(path, expect_vocab: Vocab | None = None):
         raise CheckpointError("checkpoint vocabulary does not match the provided one")
     params = {}
     offset = 16 + header_len
-    for name, shape in _param_shapes(cfg).items():
+    for name, shape in _param_shapes(cfg):
         count = math.prod(shape)
         if offset + 4 * count > end:
             raise CheckpointError("checkpoint tensor data truncated")
         # a writable copy: the view into the file's bytes is read-only
         params[name] = np.frombuffer(blob, "<f4", count, offset).reshape(shape).astype(np.float32)
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"non-finite weights in tensor {name}")
         offset += 4 * count
     if offset != end:
         raise CheckpointError("trailing bytes after tensor data")

@@ -5,10 +5,12 @@ grammeme labels, or multi-character control symbols.  Words on the source
 side and analyses on the target side are each terminated by the word
 boundary symbol.  This module owns the analysis format both ways
 (``tokenize_analysis``, ``parse_analysis_units``) and the window layout
-both ways (``examples_for_corpus``, ``build_ballots``).  Two operating
-modes exist: one sequence pair per sentence (full_sequence, the window
-that spans the whole sentence), or one pair per focal token covering
-``W`` words of context to each side (context_window).
+both ways (``examples_for_corpus`` writes windows, ``build_ballots`` reads
+their decodes back into per-token ballots).  Two operating modes exist:
+one sequence pair per sentence (full_sequence, the one window around
+token 0 as wide as the sentence), or one pair per focal token covering
+``W`` words of context to each side (context_window); both are written
+and read through the same window spans.
 """
 
 from __future__ import annotations
@@ -200,21 +202,22 @@ def examples_for_corpus(corpus: Corpus, cfg: SnippetConfig) -> list[SnippetExamp
     return examples
 
 
-def build_ballots(sentence_length: int, window: int, decoded_units):
-    """Collect per-token candidate lists from every covering window.
+def build_ballots(sentence_length: int, cfg: SnippetConfig, decoded_units):
+    """Collect per-token candidate lists from every decoded window.
 
-    ``window`` is the target window (``SnippetConfig.target_window``): the
-    context words to each side whose units a window's target holds, as
-    ``examples_for_corpus`` lays them out.  ``decoded_units`` holds, per
-    window (one per focal token), its list of decoded units; unit k of
-    window j belongs to token k plus the first token of j's target window.
-    A window too short to supply the unit contributes None at that slot.
-    Each ballot entry is (unit-or-None, focal distance, window index), in
-    window order.
+    ``decoded_units`` holds, per window in ``examples_for_corpus`` order,
+    its list of decoded units.  In context_window mode window j is the
+    focal token j's target window (``target_window`` words to each side);
+    in full_sequence mode the one window is token 0's as wide as the
+    sentence, so token k gets unit k and units past the last token are
+    dropped.  Unit k of window j belongs to token k plus the first token of
+    j's window; a window too short to supply the unit contributes None at
+    that slot.  Each ballot entry is (unit-or-None, focal distance, window
+    index), in window order.
     """
+    window = sentence_length if cfg.mode == "full_sequence" else cfg.target_window
     ballots = [[] for _ in range(sentence_length)]
-    for j in range(sentence_length):
-        units = decoded_units[j]
+    for j, units in enumerate(decoded_units):
         first, last = window_span(sentence_length, j, window)
         for k, i in enumerate(range(first, last + 1)):
             ballots[i].append((units[k] if k < len(units) else None, abs(i - j), j))

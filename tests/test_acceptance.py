@@ -152,7 +152,7 @@ def test_criterion_4_snippet_laws():
         examples = examples_for_corpus(Corpus((sentence,)), cfg)
         assert len(examples) == length
         units = [[Analysis("ab", EMPTY_TAG)] * (2 * window + 1)] * length
-        ballots = build_ballots(length, window, units)
+        ballots = build_ballots(length, cfg, units)
         for i in range(length):
             covering = sum(1 for j in range(length)
                            if max(0, j - window) <= i <= min(length - 1, j + window))

@@ -7,10 +7,10 @@ import pytest
 from lemtag import decode as decode_mod
 from lemtag import snippets as snippets_mod
 from lemtag.conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Sentence, Token
-from lemtag.decode import (DecodeConfig, align_full_sequence, beam_decode,
-                           beam_ids, build_ballots, greedy_decode, greedy_ids,
-                           majority_vote, parse_analysis_units,
-                           predict_corpus, predict_sentence, score_sequence)
+from lemtag.decode import (DecodeConfig, beam_decode, beam_ids, build_ballots,
+                           greedy_decode, greedy_ids, majority_vote,
+                           parse_analysis_units, predict_corpus, predict_sentence,
+                           score_sequence)
 from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
 from lemtag.snippets import (END_ID, PAD_ID, START_ID, TC_MODES, WORD_BOUNDARY,
@@ -45,10 +45,6 @@ def vocab_grammeme(vocab):
 
 def analysis(lemma, *grammemes):
     return Analysis(lemma, MorphoTag(tuple(sorted(grammemes))) if grammemes else EMPTY_TAG)
-
-
-def sentence(*surfaces):
-    return Sentence(tuple(Token(s) for s in surfaces))
 
 
 def test_decode_config_validation():
@@ -112,26 +108,6 @@ def test_parse_normalizes_grammemes():
     assert bad == [False]
 
 
-def test_align_equal_counts():
-    units = [analysis("a"), analysis("b"), analysis("c")]
-    aligned, mismatch = align_full_sequence(units, sentence("x", "y", "z"))
-    assert aligned == units and mismatch is False
-
-
-def test_align_too_few_units():
-    units = [analysis("a"), analysis("b")]
-    aligned, mismatch = align_full_sequence(units, sentence("x", "y", "z"))
-    assert aligned == units + [analysis("z")]
-    assert mismatch is True
-
-
-def test_align_too_many_units():
-    units = [analysis(ch) for ch in "abcd"]
-    aligned, mismatch = align_full_sequence(units, sentence("x", "y", "z"))
-    assert aligned == units[:3]
-    assert mismatch is True
-
-
 def test_vote_unanimous():
     a = analysis("cat", "N")
     assert majority_vote([(a, 1, 0), (a, 0, 1), (a, 1, 2)]) == a
@@ -158,7 +134,7 @@ def test_vote_count_tie_takes_lowest_index_of_all_entries():
     # lowest index, where the nearest single entry (B, 1, 1) would pick B
     a, b, c = analysis("cat", "N"), analysis("cut", "V"), analysis("cot")
     per_snippet = [a, b, c, a, b]
-    ballot = build_ballots(5, 2, [[got] * 5 for got in per_snippet])[2]
+    ballot = build_ballots(5, SnippetConfig(window=2), [[got] * 5 for got in per_snippet])[2]
     assert sorted((d, j) for _, d, j in ballot) == [(0, 2), (1, 1), (1, 3), (2, 0), (2, 4)]
     assert majority_vote(ballot) == a
 
@@ -181,7 +157,7 @@ def test_ballots_structure_window_one():
     a = [analysis(f"a{i}") for i in range(2)]
     b = [analysis(f"b{i}") for i in range(3)]
     c = [analysis(f"c{i}") for i in range(2)]
-    ballots = build_ballots(3, 1, [a, b, c])
+    ballots = build_ballots(3, SnippetConfig(window=1), [a, b, c])
     assert ballots[0] == [(a[0], 0, 0), (b[0], 1, 1)]
     assert ballots[1] == [(a[1], 1, 0), (b[1], 0, 1), (c[0], 1, 2)]
     assert ballots[2] == [(b[2], 1, 1), (c[1], 0, 2)]
@@ -189,10 +165,17 @@ def test_ballots_structure_window_one():
 
 def test_ballots_short_snippet_contributes_none():
     units = [[analysis("a0")], [analysis("b0")], [analysis("c0")]]
-    ballots = build_ballots(3, 1, units)
+    ballots = build_ballots(3, SnippetConfig(window=1), units)
     # token 1 is the second unit of snippets 0 and 1 (both too short) and
     # the first unit of snippet 2
     assert ballots[1] == [(None, 1, 0), (None, 0, 1), (analysis("c0"), 1, 2)]
+    # a full sequence is one window around token 0 as wide as the sentence:
+    # token k takes unit k, a missing unit is None and extra units are dropped
+    full = SnippetConfig(mode="full_sequence")
+    assert build_ballots(3, full, [units[0]]) == [[(analysis("a0"), 0, 0)],
+                                                  [(None, 1, 0)], [(None, 2, 0)]]
+    four = [analysis(f"u{k}") for k in range(4)]
+    assert build_ballots(3, full, [four]) == [[(four[k], k, 0)] for k in range(3)]
 
 
 def test_ballots_are_built_where_windows_are_laid_out():
@@ -208,7 +191,7 @@ def test_ballots_take_each_window_span_once(monkeypatch):
         return span(length, focal, window)
 
     monkeypatch.setattr(snippets_mod, "window_span", counted)
-    build_ballots(5, 1, [[analysis("x")] * 3 for _ in range(5)])
+    build_ballots(5, SnippetConfig(window=1), [[analysis("x")] * 3 for _ in range(5)])
     assert calls == [0, 1, 2, 3, 4]
 
 
@@ -218,7 +201,7 @@ def test_ballot_sizes_match_coverage_law():
         length = int(rng.integers(1, 12))
         window = int(rng.integers(0, 4))
         units = [[analysis("x")] for _ in range(length)]
-        ballots = build_ballots(length, window, units)
+        ballots = build_ballots(length, SnippetConfig(window=window), units)
         for i, ballot in enumerate(ballots):
             expect = min(length - 1, i + window) - max(0, i - window) + 1
             assert len(ballot) == expect

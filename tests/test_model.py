@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -13,8 +15,8 @@ from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _f
                           attend, backward, decode_step, encode_source, forward_loss,
                           init_decoder_state, init_model, load_model,
                           make_batch, save_model, sgd_update)
-from lemtag.snippets import (CONTROL_SYMBOLS, PAD_ID, SnippetConfig, Vocab, build_vocab,
-                             examples_for_corpus)
+from lemtag.snippets import (CONTROL_SYMBOLS, PAD_ID, START_ID, SnippetConfig, Vocab,
+                             build_vocab, examples_for_corpus)
 from toycorpus import make_corpus
 
 
@@ -437,8 +439,13 @@ def test_loss_is_token_weighted_mean_of_rows():
 def test_forward_loss_requires_targets():
     cfg = tiny_config()
     m = init_model(cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires targets"):
         forward_loss(m, make_batch([([5, 6], None)]))
+    # a target of the start id alone predicts nothing
+    empty = make_batch([([5, 6], [START_ID])])
+    for run in (forward_loss, backward):
+        with pytest.raises(ValueError, match="empty loss mask"):
+            run(m, empty)
 
 
 def test_dropout_needs_rng_and_changes_loss():
@@ -543,7 +550,7 @@ def test_sgd_rejects_non_finite():
 
     # an infinite rate used to write NaN weights with only a RuntimeWarning;
     # a bool used to pass as 1, and text raised TypeError
-    for lr in (float("nan"), float("inf"), True, "1"):
+    for lr in (float("nan"), float("inf"), -float("inf"), -1.0, -1e-300, True, "1"):
         with pytest.raises(ValueError, match="learning rate"):
             sgd_update(m, grads, lr=lr)
         assert_unchanged()
@@ -556,6 +563,17 @@ def test_sgd_rejects_non_finite():
     with pytest.raises(ValueError):
         sgd_update(m, grads, lr=1.0, clip_norm=5.0)
     assert_unchanged()
+
+
+def test_sgd_zero_rate_changes_nothing():
+    # a halving schedule underflows to 0.0; such a step keeps every bit, -0.0 included
+    m = init_model(tiny_config())
+    m.params["out_b"][0] = -0.0
+    before = m.copy()
+    grads = {k: -np.ones_like(v) for k, v in m.params.items()}
+    sgd_update(m, grads, lr=0.0, clip_norm=5.0)
+    for name in before.params:
+        assert m.params[name].tobytes() == before.params[name].tobytes(), name
 
 
 def test_clipped_sgd_matches_scaled_subtract():
@@ -743,13 +761,35 @@ def with_crc(edit):
      "unsupported checkpoint format version 2"),
     (with_crc(lambda body: body[:-4]), "checkpoint tensor data truncated"),
     (with_crc(lambda body: body + bytes(4)), "trailing bytes after tensor data"),
+    # the last weight of out_W, which the 12 floats of out_b follow
+    *[(with_crc(lambda body, v=value: body[:-52] + struct.pack("<f", v) + body[-48:]),
+       "non-finite weights in tensor out_W") for value in (np.nan, np.inf, -np.inf)],
 ], ids=["short-file", "flipped-tensor-byte", "bad-magic", "version-2", "missing-tensor-tail",
-        "trailing-bytes"])
+        "trailing-bytes", "nan-weight", "inf-weight", "minus-inf-weight"])
 def test_checkpoint_load_rejections(tmp_path, edit, message):
     path = saved_checkpoint(tmp_path)
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(CheckpointError, match=f"^{message}$"):
         load_model(path)
+
+
+def test_a_header_claiming_many_layers_fails_without_building_them(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<Q", blob, 8)[0]
+    header = json.loads(blob[16:16 + header_len])
+    header["config"]["layers"] = 20000
+    head = json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + header_len:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="^checkpoint tensor data truncated$"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_a_loaded_model_trains_without_touching_its_file(tmp_path):

@@ -14,14 +14,14 @@ from lemtag.training import (CheckpointRecord, TrainConfig,
 from toycorpus import make_corpus
 
 
-def micro_setup(n_sentences=8, seed=0, hidden=12):
+def micro_setup(n_sentences=8, seed=0, hidden=12, embedding=8):
     corpus = make_corpus(n_sentences, seed=seed)
     snip = SnippetConfig(mode="context_window", window=1, tc_mode="both")
     examples = examples_for_corpus(corpus, snip)
     vocab = build_vocab(examples, min_freq=1)
     mcfg = ModelConfig(source_vocab_size=vocab.source_size,
                        target_vocab_size=vocab.target_size,
-                       embedding_size=8, hidden_units=hidden, layers=1,
+                       embedding_size=embedding, hidden_units=hidden, layers=1,
                        dropout_p=0.0, rng_seed=0)
     return corpus, snip, examples, vocab, init_model(mcfg)
 
@@ -257,6 +257,17 @@ def test_train_frozen_weights_tie_picks_earliest(tmp_path):
     first = report.checkpoints[0].dev_metrics
     assert all(r.dev_metrics == first for r in report.checkpoints)
     assert report.selected_step == 2
+
+
+def test_train_runs_to_the_end_when_the_rate_underflows(tmp_path):
+    # halving every step from 1e-300 reaches 0.0 near step 78; such steps change nothing
+    corpus, snip, examples, vocab, model = micro_setup(4, hidden=4, embedding=4)
+    cfg = TrainConfig(total_steps=100, checkpoint_every=100, lr_initial=1e-300,
+                      lr_halve_start_step=0, lr_halve_every=1, batch_size=16,
+                      checkpoint_dir=str(tmp_path / "run"))
+    assert lr_schedule(cfg, cfg.total_steps - 1) == 0.0
+    _, report = train(model, examples, corpus, vocab, snip, cfg)
+    assert [r.step for r in report.checkpoints] == [100]
 
 
 def test_train_divergence_reports_step(tmp_path):
