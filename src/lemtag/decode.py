@@ -3,6 +3,10 @@ overlapping context windows; ``snippets``, the owner of the analysis
 symbol format and of the window layout, reads decoded symbol streams back
 into analyses and gathers each token's units into its ballot.
 
+Beam search decodes one row per alive hypothesis.  The greedy rollout,
+kept as a candidate, reads the row of the hypothesis it equals and takes
+a row of its own only after it leaves the beam.
+
 Per-token flags record anything suspicious on the way from symbols to
 analyses: "truncated" (decode hit the length limit), "malformed" (a unit
 with no lemma character, a lemma character after a grammeme, or <UNK>),
@@ -14,7 +18,6 @@ a token left without a unit takes the same fallback, without "short").
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,117 +60,154 @@ class DecodeConfig:
         return 2 * source_length + 16
 
 
-class _Source:
-    """One source's search: alive beam hypotheses (kept sorted by ids),
-    ended ones, and the greedy rollout decoded alongside as a candidate."""
-
-    def __init__(self, index, limit, beam_size):
-        self.index, self.limit = index, limit
-        self.alive = [((), 0.0, 0)] if beam_size else []  # (ids, score, row in block)
-        self.finished, self.best = [], -np.inf  # (score, ids) of ended hypotheses; best score
-        self.greedy, self.greedy_score, self.greedy_live = [], 0.0, True
-
-    def result(self):
-        candidates = list(self.finished)
-        if not self.greedy_live:
-            candidates.append((self.greedy_score, tuple(self.greedy)))
-        if candidates:
-            return list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
-        if self.alive:
-            return list(min(self.alive, key=lambda a: (-a[1], a[0]))[0]), False
-        return self.greedy, False
-
-
 def _search(model: Model, sources, cfg: DecodeConfig):
     """Beam search of width ``cfg.beam_size`` over many sources, each with
-    its greedy rollout decoded alongside as a candidate (width 1 leaves the
-    greedy rollouts alone).  Returns one (ids, finished flag) per source.
+    its greedy rollout kept as a candidate (width 1 is the greedy rollouts
+    alone).  Returns one (ids, finished flag) per source.
 
-    The sources are encoded once, as one padded batch.  Each live source
-    owns a block of ``beam_size + 1`` consecutive decoder rows, its beam
-    rows and then its greedy row, and each step decodes every block in one
-    ``decode_step`` call.  Unused slots carry the start id and a copy of
-    the greedy row's state; their outputs are ignored.  Within a block the
-    best ``2 * beam_size`` of the flat (hypothesis x V) scores are selected
-    with a partition at the cut-off and ordered as a stable sort would order
-    them, so ties go to the lexicographically smallest ids.  A source that
-    stops leaves the batch by row gather.
+    The sources are encoded once, as one padded batch, and each step
+    decodes every live source in one ``decode_step`` call, as a block of
+    rows per source; the block is as wide as the most rows any live source
+    needs.  A source's alive hypotheses take the first rows of its block in
+    slot order (sorted by ids).  Its greedy rollout reads its logits from
+    the row of the alive hypothesis it equals: the same previous id, the
+    same state row and the same product give the same logits.  Once its
+    next symbol leaves the beam, or the beam is pruned, it takes its own
+    row after the alive ones; it can never rejoin, since every hypothesis
+    descends from an alive one.  So step 1 is one row per source.  Unused
+    rows carry the start id and a copy of slot 0's state; their outputs
+    are never read.
+
+    Each source's state is held in arrays over (live sources, slots):
+    alive scores (-inf in an empty slot) and ids, the best finished score,
+    and the greedy rollout's ids, length, score, live flag and slot (-1
+    for its own row).  Within a block the best ``2 * beam_size`` of the
+    flat (slot x V) scores are selected with a partition at the cut-off
+    and ordered as a stable sort would order them, so ties go to the
+    lexicographically smallest ids.  Python touches only the sources that
+    finish a hypothesis or stop; a source that stops leaves the batch by
+    row gather.
     """
-    beam_size = cfg.beam_size if cfg.beam_size > 1 else 0  # beam rows per source
+    beam_size = cfg.beam_size if cfg.beam_size > 1 else 0  # slots per source
     batch = make_batch([(list(s), None) for s in sources])
     enc, finals = encode_source(model, batch)
     mask = batch.src_mask
-    width = beam_size + 1
-    live = [_Source(i, cfg.length_limit(len(s)), beam_size) for i, s in enumerate(sources)]
-    results = [None] * len(sources)
     state = init_decoder_state(model, finals)
-    rows = np.repeat(np.arange(len(sources)), width)  # state row of each decoder row
-    prev = [START_ID] * len(rows)
+    index = np.arange(len(sources))  # each live source's place in sources
+    limit = np.array([cfg.length_limit(len(s)) for s in sources])
+    results, finished = [None] * len(sources), [[] for _ in sources]  # (score, ids) ended
+    scores = np.zeros((len(sources), min(beam_size, 1)))  # the empty hypothesis, or none
+    ids = np.zeros(scores.shape + (0,), dtype=np.int64)
+    n_alive = np.full(len(sources), scores.shape[1])
+    best = np.full(len(sources), -np.inf)
+    greedy = np.zeros((len(sources), limit.max()), dtype=np.int64)
+    greedy_len = np.zeros(len(sources), dtype=np.int64)
+    greedy_score = np.zeros(len(sources))
+    greedy_live = np.ones(len(sources), dtype=bool)
+    greedy_slot = np.full(len(sources), 0 if beam_size else -1)
+    greedy_col = np.zeros(len(sources), dtype=np.int64)  # the greedy rollout's row in its block
+    prev, width = np.full(len(sources), START_ID), 1
     for step in itertools.count(1):
-        state = [(h[rows], c[rows]) for h, c in state]
-        logits, state = decode_step(model, np.array(prev), state, enc, mask)
-        vocab_size = logits.shape[1]
-        greedy_logits = logits[beam_size::width].copy()
+        logits, state = decode_step(model, prev.ravel(), state, enc, mask)
+        live = np.arange(len(index))
+        greedy_logits = logits[live * width + greedy_col]
         greedy_logits[:, [PAD_ID, START_ID]] = -np.inf
         greedy_next = greedy_logits.argmax(axis=1)
         if beam_size:
+            vocab_size = logits.shape[1]
             logp = _softmax(logits)[1].reshape(len(live), width, vocab_size)
             logp[:, :, [PAD_ID, START_ID]] = -np.inf
-            greedy_logp = logp[np.arange(len(live)), beam_size, greedy_next].tolist()
-            scores = np.full((len(live), beam_size), -np.inf)
-            for b, src in enumerate(live):
-                scores[b, :len(src.alive)] = [score for _, score, _ in src.alive]
-            totals = (scores[:, :, None] + logp[:, :beam_size]).reshape(len(live), -1)
+            greedy_score += np.where(greedy_live, logp[live, greedy_col, greedy_next], 0.0)
+            totals = (scores[:, :, None] + logp[:, :scores.shape[1]]).reshape(len(live), -1)
             # each alive hypothesis ends at most once, so 2 * beam_size
             # entries always fill the beam or reach the non-finite tail.
             # Every entry up to the row's cut-off is kept, ties at it
-            # included, then ordered as a stable argsort of -totals would.
-            neg, depth = -totals, 2 * beam_size
+            # included, then ordered as a stable argsort of -totals would
+            # (the candidates come in row-major order, and lexsort is stable)
+            n_cols = totals.shape[1]
+            neg, depth = -totals, min(2 * beam_size, n_cols)
             cut = np.partition(neg, depth - 1, axis=1)[:, depth - 1:depth]
-            cand_row, cand_col = np.nonzero(~(neg > cut))  # a NaN cut-off keeps the whole row
-            order = np.lexsort((cand_col, neg[cand_row, cand_col], cand_row))
-            first = np.searchsorted(cand_row, np.arange(len(live)))  # each row's first candidate
-            pick = order[first[:, None] + np.arange(depth)]
-            top = cand_col[pick].tolist()
-            top_totals = totals[cand_row[pick], cand_col[pick]].tolist()
-        greedy_next = greedy_next.tolist()
-        rows, prev, kept = [], [], []
-        for b, src in enumerate(live):
-            if src.greedy_live:
-                nxt = greedy_next[b]
-                if beam_size:
-                    src.greedy_score += greedy_logp[b]
-                src.greedy_live = nxt != END_ID
-                src.greedy += [nxt] * src.greedy_live
-            if src.alive:
-                expanded = []
-                for k, total in zip(top[b], top_totals[b]):
-                    if len(expanded) == beam_size or not math.isfinite(total):
-                        break
-                    bi, sym = divmod(k, vocab_size)
-                    if sym == END_ID:
-                        src.finished.append((total, src.alive[bi][0]))
-                        src.best = max(src.best, total)
-                    else:
-                        expanded.append((src.alive[bi][0] + (sym,), total, bi))
-                src.alive = sorted(expanded)
-                if src.alive and src.best >= max(score for _, score, _ in src.alive):
-                    src.alive = []  # scores only decrease as hypotheses grow
-            if src.greedy_live and src.best > src.greedy_score:
-                src.greedy_live, src.greedy_score = False, -np.inf  # it can no longer win
-            if step == src.limit or not (src.alive or src.greedy_live):
-                results[src.index] = src.result()
-                continue
-            base, unused = b * width, beam_size - len(src.alive)
-            kept.append(b)
-            rows += [base + bi for _, _, bi in src.alive] + [base + beam_size] * (unused + 1)
-            prev += [ids[-1] for ids, _, _ in src.alive] + [START_ID] * unused
-            prev.append(src.greedy[-1] if src.greedy_live else START_ID)
-        if not kept:
+            cand = np.flatnonzero(~(neg > cut))  # a NaN cut-off keeps the whole row
+            cand_row = cand // n_cols
+            order = np.lexsort((neg.ravel()[cand], cand_row))
+            pick = cand[order[np.searchsorted(cand_row, live)[:, None] + np.arange(depth)]]
+            top, top_totals = pick % n_cols, totals.ravel()[pick]
+            # walk each row up to its first non-finite total, until beam_size
+            # hypotheses are alive; an end symbol retires its hypothesis
+            taken = np.isfinite(top_totals)
+            grows = taken & (top % vocab_size != END_ID)
+            taken &= np.cumsum(grows, axis=1) - grows < beam_size
+            grows &= taken
+            for b, k in zip(*np.nonzero(taken & ~grows)):
+                total, b_index = top_totals[b, k], index[b]
+                finished[b_index].append((total, tuple(ids[b, top[b, k] // vocab_size].tolist())))
+                best[b] = max(best[b], total)
+            # the alive hypotheses are sorted by ids, so their children are
+            # sorted by (parent slot, symbol): by flat index
+            children = np.sort(np.where(grows, top, n_cols), axis=1)
+            children = children[:, :max(1, grows.sum(axis=1).max())]
+            alive = children < n_cols
+            scores = np.where(alive, totals[live[:, None], np.minimum(children, n_cols - 1)],
+                              -np.inf)
+            alive &= (best < scores.max(axis=1))[:, None]  # scores only decrease as hypotheses grow
+            scores[~alive] = -np.inf
+            n_alive = alive.sum(axis=1)
+            # an unused slot decodes the start id from slot 0's state
+            children[~alive] = START_ID
+            parent, sym = np.divmod(children, vocab_size)
+            ids = np.concatenate((ids[live[:, None], parent], sym[:, :, None]), axis=2)
+        greedy_live &= greedy_next != END_ID
+        greedy[:, step - 1] = greedy_next
+        greedy_len += greedy_live
+        if beam_size:
+            lost = greedy_live & (best > greedy_score)  # it can no longer win
+            greedy_live &= ~lost
+            greedy_score[lost] = -np.inf
+            same = children == (greedy_slot * vocab_size + greedy_next)[:, None]
+            greedy_slot = np.where(greedy_live & same.any(axis=1), same.argmax(axis=1), -1)
+        stop = (step == limit) | ~(greedy_live | (n_alive > 0))
+        for b in np.flatnonzero(stop):
+            candidates = finished[index[b]]
+            if not greedy_live[b]:
+                candidates.append((greedy_score[b], tuple(greedy[b, :greedy_len[b]].tolist())))
+            if candidates:
+                results[index[b]] = list(min(candidates, key=lambda c: (-c[0], c[1]))[1]), True
+            elif n_alive[b]:
+                hypotheses = zip(scores[b, :n_alive[b]], ids[b, :n_alive[b]].tolist())
+                results[index[b]] = min(hypotheses, key=lambda h: (-h[0], h[1]))[1], False
+            else:
+                results[index[b]] = greedy[b, :greedy_len[b]].tolist(), False
+        if stop.all():
             return results
-        if len(kept) < len(live):
-            live = [live[b] for b in kept]
-            enc, mask = enc[kept], mask[kept]
+        kept = live
+        if stop.any():
+            kept = np.flatnonzero(~stop)
+            index, limit, enc, mask = index[kept], limit[kept], enc[kept], mask[kept]
+            greedy, greedy_len, greedy_live, greedy_next, greedy_col, n_alive = (
+                greedy[kept], greedy_len[kept], greedy_live[kept], greedy_next[kept],
+                greedy_col[kept], n_alive[kept])
+            if beam_size:
+                best, greedy_score, greedy_slot = best[kept], greedy_score[kept], greedy_slot[kept]
+                scores, ids, parent, sym = scores[kept], ids[kept], parent[kept], sym[kept]
+        if beam_size:
+            # the next block: the alive rows in slot order, then the greedy
+            # rollout's own row if it needs one
+            own = greedy_live & (greedy_slot < 0)
+            block, slots = (n_alive + own).max(), max(1, n_alive.max())
+            scores, ids = scores[:, :slots], ids[:, :slots]
+            cols = np.zeros((len(index), block), dtype=np.int64)
+            prev = np.full((len(index), block), START_ID)
+            cols[:, :slots], prev[:, :slots] = parent[:, :slots], sym[:, :slots]
+            mine = np.flatnonzero(own)
+            cols[mine, n_alive[mine]] = greedy_col[mine]
+            prev[mine, n_alive[mine]] = greedy_next[mine]
+            greedy_col = np.where(own, n_alive, np.maximum(greedy_slot, 0))
+            rows, width = (kept[:, None] * width + cols).ravel(), block
+            state = [(h[rows], c[rows]) for h, c in state]
+        else:
+            prev = greedy_next
+            if len(kept) < len(live):
+                state = [(h[kept], c[kept]) for h, c in state]
 
 
 def greedy_ids(model: Model, source_ids, cfg: DecodeConfig):
@@ -188,9 +228,9 @@ def beam_ids(model: Model, source_ids, cfg: DecodeConfig):
 
     Finished hypotheses retire at the end symbol; the best finished one is
     returned with score ties broken toward the lexicographically smallest
-    id sequence.  The greedy rollout is decoded alongside as a candidate,
-    scored by its summed log-probabilities, so the result never scores
-    below it.  Returns (ids, finished flag).
+    id sequence.  The greedy rollout is kept as a candidate, scored by its
+    summed log-probabilities, so the result never scores below it.
+    Returns (ids, finished flag).
     """
     return _search(model, [source_ids], cfg)[0]
 

@@ -90,9 +90,6 @@ class Model:
         self.config = config
         self.params = params
 
-    def copy(self) -> "Model":
-        return Model(self.config, {k: v.copy() for k, v in self.params.items()})
-
 
 def init_model(cfg: ModelConfig) -> Model:
     """Uniform [-0.1, 0.1] init from cfg.rng_seed; LSTM forget biases set to 1."""

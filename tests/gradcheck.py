@@ -1,4 +1,4 @@
-"""Finite-difference gradient checking helpers."""
+"""Finite-difference gradient checking helpers, and the model copies they use."""
 
 import numpy as np
 
@@ -7,6 +7,11 @@ from lemtag.model import Model, backward, forward_loss
 
 def relative_error(a, b):
     return abs(a - b) / max(abs(a) + abs(b), 1e-6)
+
+
+def copy_model(model):
+    """A deep copy of ``model``: changing its arrays leaves ``model`` alone."""
+    return Model(model.config, {k: v.copy() for k, v in model.params.items()})
 
 
 def as_float64(model):

@@ -13,7 +13,7 @@ from lemtag.decode import (DecodeConfig, beam_decode, beam_ids, build_ballots,
                            score_sequence)
 from lemtag.model import (ModelConfig, decode_step, encode_source,
                           init_decoder_state, init_model, make_batch)
-from lemtag.snippets import (END_ID, PAD_ID, START_ID, TC_MODES, WORD_BOUNDARY,
+from lemtag.snippets import (END_ID, PAD_ID, START_ID, TC_MODES, UNK_ID, WORD_BOUNDARY,
                              SnippetConfig, build_vocab, encode, examples_for_corpus)
 from toycorpus import make_corpus
 
@@ -258,11 +258,16 @@ TIED_NEXT = {START_ID: (5, 6), 5: (9,), 6: (4,)}
 
 def tied_step(next_ids):
     """A decode_step whose rows put equal logits on ``next_ids[prev]`` (the
-    end symbol for any other previous id) and -50 on every other symbol."""
+    end symbol for any other previous id) and -50 on every other symbol;
+    ``None`` in place of the ids makes the whole row NaN."""
     def step(model, prev_ids, state, encoder_states, source_mask):
         logits = np.full((len(prev_ids), model.config.target_vocab_size), -50.0)
         for row, prev in enumerate(prev_ids):
-            logits[row, list(next_ids.get(int(prev), (END_ID,)))] = 0.0
+            tied = next_ids.get(int(prev), (END_ID,))
+            if tied is None:
+                logits[row] = np.nan
+            else:
+                logits[row, list(tied)] = 0.0
         return logits, state
     return step
 
@@ -490,6 +495,122 @@ def test_batched_search_encodes_each_chunk_once(monkeypatch):
     decode_mod._search(model, sources, cfg)
     names = ("encode_source", "forward_loss", "decode_step")
     assert [calls[name] for name in names] == [1, 0, max(steps)]
+
+
+# The greedy rollout [5, 7] leaves the beam at step 2: 5 spreads over six
+# tied symbols and 6 over five, so for beam 2, 3 and 5 the beam keeps only
+# children of 6, while the greedy rollout goes on alone and ends next.  The
+# beam's hypotheses take two more steps and a further halving, so the
+# greedy rollout wins.
+GREEDY_LEAVES_NEXT = {START_ID: (5, 6), 5: (7, 8, 9, 10, 11, 12), 6: (4, 9, 13, 14, 15),
+                      **{sym: (10, 11) for sym in (4, 9, 13, 14, 15)}}
+# [6] ends at step 2 with the greedy rollout's score, which prunes the beam
+# (its best, the greedy rollout [5, 9], scores no higher) but does not end
+# the greedy rollout: it goes on alone to [5, 9, 10] and wins the score tie
+# on its smaller ids.
+BEAM_PRUNED_NEXT = {START_ID: (5, 6), 5: (9,), 9: (10,), 6: (END_ID,)}
+
+
+@pytest.mark.parametrize("next_ids, expect", [(GREEDY_LEAVES_NEXT, [5, 7]),
+                                              (BEAM_PRUNED_NEXT, [5, 9, 10])],
+                         ids=["greedy-leaves-beam", "beam-pruned"])
+def test_greedy_rollout_goes_on_alone(monkeypatch, next_ids, expect):
+    model, vocab, corpus, snip = setup_model()
+    assert model.config.target_vocab_size > 15
+    sources = ragged_sources(vocab, corpus, snip, 3)
+    step = tied_step(next_ids)
+    monkeypatch.setattr(decode_mod, "decode_step", step)
+    for beam_size in (2, 3, 5):
+        cfg = DecodeConfig(beam_size=beam_size)
+        batched = decode_mod._search(model, sources, cfg)
+        assert batched == [one_source_search(model, s, cfg, step) for s in sources]
+        assert batched == [(expect, True)] * 3
+
+
+# A NaN row ends every beam hypothesis on it.  The greedy rollout's argmax
+# takes the row's first allowed NaN, the unknown symbol, and scores NaN,
+# which never beats a finished hypothesis but is returned when nothing else
+# finished.
+NAN_ROW_CASES = [({START_ID: (5, 6), 5: None, 6: (4,)}, [5, UNK_ID], [6, 4]),
+                 ({START_ID: None}, [UNK_ID], [UNK_ID])]
+
+
+@pytest.mark.parametrize("next_ids, greedy, beam", NAN_ROW_CASES, ids=["step-2", "step-1"])
+def test_nan_logit_rows_are_never_chosen(monkeypatch, next_ids, greedy, beam):
+    model, vocab, corpus, snip = setup_model()
+    sources = ragged_sources(vocab, corpus, snip, 3)
+    monkeypatch.setattr(decode_mod, "decode_step", tied_step(next_ids))
+    for beam_size in (1, 2, 3, 5):
+        expect = greedy if beam_size == 1 else beam
+        assert decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size)) == \
+            [(expect, True)] * 3
+
+
+def test_nan_in_unused_rows_leaves_the_search_alone(monkeypatch):
+    # after the first step a row fed the start id fills an unused slot
+    # (there is no live hypothesis for it); its outputs are never read
+    from modelgen import warm_model
+    model, vocab, corpus, snip = warm_model(seed=0)[:4]
+    sources = ragged_sources(vocab, corpus, snip, 9)
+    real_step, filled = decode_mod.decode_step, []
+
+    def nan_fillers(model_, prev_ids, state, encoder_states, source_mask):
+        logits, state = real_step(model_, prev_ids, state, encoder_states, source_mask)
+        rows = (np.asarray(prev_ids) == START_ID) & bool(filled)
+        logits[rows] = np.nan
+        filled.append(rows.sum())
+        return logits, state
+
+    nan_rows = 0
+    for beam_size in (3, 5):
+        cfg = DecodeConfig(beam_size=beam_size)
+        expect = decode_mod._search(model, sources, cfg)
+        monkeypatch.setattr(decode_mod, "decode_step", nan_fillers)
+        filled.clear()
+        assert decode_mod._search(model, sources, cfg) == expect
+        nan_rows += sum(filled)
+        monkeypatch.setattr(decode_mod, "decode_step", real_step)
+    assert nan_rows > 0
+
+
+def spied_rows(monkeypatch):
+    """Record (rows, live sources) of every ``decode_step`` call."""
+    real_step, seen = decode_mod.decode_step, []
+
+    def spy(model, prev_ids, state, encoder_states, source_mask):
+        seen.append((len(prev_ids), len(encoder_states)))
+        return real_step(model, prev_ids, state, encoder_states, source_mask)
+
+    monkeypatch.setattr(decode_mod, "decode_step", spy)
+    return seen
+
+
+def test_search_decodes_only_the_rows_it_needs(monkeypatch):
+    from modelgen import warm_model
+    model, vocab, corpus, snip = warm_model(seed=0)[:4]
+    sources = ragged_sources(vocab, corpus, snip, 9)
+    seen = spied_rows(monkeypatch)
+    for beam_size in (1, 2, 3, 5):
+        seen.clear()
+        decode_mod._search(model, sources, DecodeConfig(beam_size=beam_size, max_length=12))
+        assert seen[0] == (len(sources), len(sources))  # step 1: one row per source
+        for rows, live in seen:
+            assert rows % live == 0
+            if beam_size == 1:
+                assert rows == live
+            assert rows <= (beam_size + 1) * live
+        if beam_size > 1:
+            assert any(rows > live for rows, live in seen)
+
+
+def test_fixture_beam_vote_decoder_rows_are_pinned(monkeypatch):
+    # the benchmark's seed-3 predict-h64 beam-5 + vote job: the decoder
+    # calls and the rows they decode
+    from modelgen import fixture_job
+    model, corpus, vocab, snip = fixture_job(3)
+    seen = spied_rows(monkeypatch)
+    predict_corpus(model, corpus, vocab, snip, DecodeConfig(beam_size=5), voting=True)
+    assert (len(seen), sum(rows for rows, _ in seen)) == (81, 9456)
 
 
 def test_score_sequence_matches_stepwise_sum():

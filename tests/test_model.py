@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from gradcheck import as_float64
+from gradcheck import as_float64, copy_model
 from lemtag import decode
 from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _forward,
                           _lstm_backward, _lstm_forward, _lstm_step, _sigmoid, _softmax,
@@ -541,7 +541,7 @@ def test_sgd_clipping_rescales():
 
 def test_sgd_rejects_non_finite():
     m = init_model(tiny_config())
-    before = m.copy()
+    before = copy_model(m)
     grads = {k: np.ones_like(v) for k, v in m.params.items()}
 
     def assert_unchanged():
@@ -569,7 +569,7 @@ def test_sgd_zero_rate_changes_nothing():
     # a halving schedule underflows to 0.0; such a step keeps every bit, -0.0 included
     m = init_model(tiny_config())
     m.params["out_b"][0] = -0.0
-    before = m.copy()
+    before = copy_model(m)
     grads = {k: -np.ones_like(v) for k, v in m.params.items()}
     sgd_update(m, grads, lr=0.0, clip_norm=5.0)
     for name in before.params:
@@ -579,7 +579,7 @@ def test_sgd_zero_rate_changes_nothing():
 def test_clipped_sgd_matches_scaled_subtract():
     cfg = tiny_config(layers=2)
     m = init_model(cfg)
-    ref = m.copy()
+    ref = copy_model(m)
     batch = sample_batch(cfg)
     lr, clip_norm = 0.7, 0.05
     for _ in range(3):
@@ -806,7 +806,7 @@ def test_a_loaded_model_trains_without_touching_its_file(tmp_path):
 
 def test_model_copy_is_deep():
     m = init_model(tiny_config())
-    c = m.copy()
+    c = copy_model(m)
     c.params["out_b"][0] = 123.0
     assert m.params["out_b"][0] != 123.0
 
