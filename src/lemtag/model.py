@@ -10,6 +10,14 @@ finite differences in the test suite.  Padding is handled in three places:
 the encoder recurrence (frozen state, zero outputs), the attention scores
 (-inf) and the loss weights.
 
+The first layer of each LSTM stack reads rows of an embedding table with
+no dropout, so its input-side work runs over the vocabulary, not over
+positions: the forward pass looks its input projection up in a per-symbol
+table ``(embed @ Wx)[ids]``, and the backward pass sums the gate gradients
+per symbol (a one-hot product) before forming the ``Wx`` and embedding
+gradients.  That is exact in real arithmetic only because there is no
+dropout on that input; the sums run in another order than per position.
+
 Parameters are float32 from ``init_model`` on, as checkpoints store them,
 and every array of training and inference takes the parameters' dtype, so
 a float64 copy of a model (as the gradient checks use) computes in float64.
@@ -178,22 +186,20 @@ def _lstm_step(xw, Wh, b, h, c):
     return h_new, c_new, (i, f, g, o, tanh_c)
 
 
-def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
-    """Run one LSTM layer over (B, T, Din) inputs from the state (h, c).
+def _lstm_forward(xw, Wh, b, mask, reverse, h, c):
+    """Run one LSTM layer over its projected inputs ``xw`` (B, T, 4H), the
+    layer's inputs times ``Wx``, from the state (h, c).
 
     ``mask`` (B, T), or None for no padding, freezes the state and zeroes
     the output at padded positions, so the final state is the state at each
-    row's last real position; ``reverse`` processes time back to front.
-    ``inputs @ Wx`` is one GEMM before the time loop.  A step with no
-    padding takes the new state as it is; only a step with padding selects
-    between the new and the frozen state.  Returns outputs (B, T, H), the
-    final (h, c), and a cache for the backward pass: the (B*T, Din) inputs,
-    each step's starting h (B, T, H) and per-step tuples, whose (B, 1) mask
-    is None at a step with no padding.
+    row's last real position; ``reverse`` processes time back to front.  A
+    step with no padding takes the new state as it is; only a step with
+    padding selects between the new and the frozen state.  Returns outputs
+    (B, T, H), the final (h, c), and a cache for the backward pass: each
+    step's starting h (B, T, H) and per-step tuples, whose (B, 1) mask is
+    None at a step with no padding.
     """
-    bsz, steps, din = inputs.shape
-    x = inputs.reshape(-1, din)
-    xw = (x @ Wx).reshape(bsz, steps, -1)
+    bsz, steps, _ = xw.shape
     outputs = np.zeros((bsz, steps, Wh.shape[0]), dtype=xw.dtype)
     h_prev = np.empty_like(outputs)
     full = [True] * steps if mask is None else mask.all(axis=0).tolist()
@@ -209,21 +215,23 @@ def _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h, c):
         else:
             h, c = np.where(m, h_new, h), np.where(m, c_new, c)
         outputs[:, t, :] = h if m is None else h * m
-    return outputs, (h, c), (x, h_prev, trace)
+    return outputs, (h, c), (h_prev, trace)
 
 
-def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
-    """Backpropagate through one LSTM layer.
+def _lstm_backward(Wh, d_outputs, cache, dh, dc):
+    """Backpropagate through one LSTM layer to its projected inputs.
 
     ``d_outputs`` holds gradients w.r.t. the per-position outputs, zero at
     padded positions, where the outputs are constant; ``dh`` and ``dc``
     (arrays, zero for none) hold the gradient flowing into the final state
-    (e.g. from the encoder-decoder bridge).  Returns gradients for the
-    inputs, the three weight tensors, and the initial state.  Only
-    ``dz @ Wh.T`` runs per step; the rest are one GEMM or sum over all dz;
-    a step with no padding (mask None in the trace) selects nothing.
+    (e.g. from the encoder-decoder bridge).  Returns ``dz`` (B*T, 4H), the
+    gradient w.r.t. the projected inputs (zero at padded positions), the
+    gradients for ``Wh`` and ``b``, and the gradient w.r.t. the initial
+    state; the stack turns ``dz`` into the input-side gradients.  Only
+    ``dz @ Wh.T`` runs per step; a step with no padding (mask None in the
+    trace) selects nothing.
     """
-    x, h_prev, trace = cache
+    h_prev, trace = cache
     bsz, steps, hid = d_outputs.shape
     dz_all = np.empty((bsz, steps, 4 * hid), dtype=d_outputs.dtype)
     for (t, c_prev, m, i, f, g, o, tanh_c) in reversed(trace):
@@ -245,8 +253,7 @@ def _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc):
             # padded positions pass the state gradient straight through
             dh, dc = np.where(m, dz @ Wh.T, dh_t), np.where(m, dc_full * f, dc)
     dz = dz_all.reshape(-1, 4 * hid)
-    d_inputs = (dz @ Wx.T).reshape(bsz, steps, -1)
-    return d_inputs, x.T @ dz, h_prev.reshape(-1, hid).T @ dz, dz.sum(axis=0), dh, dc
+    return dz, h_prev.reshape(-1, hid).T @ dz, dz.sum(axis=0), dh, dc
 
 
 def _dropout_mask(rng, like, p):
@@ -267,52 +274,61 @@ def _check_ids(ids, size, what):
 # forward
 
 
-def _stack_forward(model, stack, inputs, mask, init, rng):
-    """Run the "enc" or "dec" LSTM stack over (B, T, E) inputs under a (B, T) mask.
+def _stack_forward(model, stack, ids, mask, init, rng):
+    """Run the "enc" or "dec" LSTM stack over (B, T) ids under a (B, T) mask.
 
     Each encoder layer runs directions ``enc{l}_fwd`` and ``enc{l}_bwd``
     from zero states; each decoder layer runs the one direction ``dec{l}``
-    from ``init[l]``, the bridge's (h, c).  Layers above the first see their
-    input through dropout when ``rng`` is given (training).  Returns the
-    top layer's outputs and each layer's final (h, c), both with the
-    directions concatenated along the last axis, and a cache for
-    ``_stack_backward``.  The decoder runs with mask None, so its final
-    states include the padded steps; nothing reads them.
+    from ``init[l]``, the bridge's (h, c).  The first layer's input is a row
+    of the (V, E) table ``embed`` (``src_embed`` or ``tgt_embed``) with no
+    dropout, so its input projection is looked up per symbol:
+    ``(embed @ Wx)[ids]``, one (V, 4H) table per direction, instead of one
+    product per position.  Layers above the first see their input through
+    dropout when ``rng`` is given (training) and project it per position.
+    Returns the top layer's outputs and each layer's final (h, c), both
+    with the directions concatenated along the last axis, and a cache for
+    ``_stack_backward``: per layer, the traces, the matrix ``x`` the layer
+    projected (``embed``, or the (B*T, Din) inputs after dropout) and the
+    dropout mask.  The decoder runs with mask None, so its final states
+    include the padded steps; nothing reads them.
     """
     cfg = model.config
     p = model.params
+    x, drop = p["src_embed" if stack == "enc" else "tgt_embed"], 1.0
     finals = []
     caches = []
     for layer in range(cfg.layers):
-        drop = _dropout_mask(rng, inputs, cfg.dropout_p) if layer > 0 else 1.0
-        inputs = inputs * drop
+        if layer > 0:
+            drop = _dropout_mask(rng, inputs, cfg.dropout_p)
+            x = (inputs * drop).reshape(-1, inputs.shape[2])
         if stack == "enc":
-            zero = np.zeros((len(inputs), cfg.hidden_units), dtype=inputs.dtype)
+            zero = np.zeros((len(ids), cfg.hidden_units), dtype=x.dtype)
             directions = [(f"enc{layer}_fwd", False, zero, zero),
                           (f"enc{layer}_bwd", True, zero, zero)]
         else:
             directions = [(f"dec{layer}", False, *init[layer])]
         outputs, traces, layer_finals = [], [], []
         for name, reverse, h0, c0 in directions:
+            xw = x @ p[f"{name}_Wx"]
+            xw = xw[ids] if layer == 0 else xw.reshape(*ids.shape, -1)
             out, final, trace = _lstm_forward(
-                p[f"{name}_Wx"], p[f"{name}_Wh"], p[f"{name}_b"], inputs, mask, reverse, h0, c0)
+                xw, p[f"{name}_Wh"], p[f"{name}_b"], mask, reverse, h0, c0)
             outputs.append(out)
             traces.append((name, trace))
             layer_finals.append(final)
-        caches.append((traces, drop))
+        caches.append((traces, x, drop))
         finals.append([np.concatenate(state, axis=1) for state in zip(*layer_finals)])
         inputs = np.concatenate(outputs, axis=2)
     return inputs, finals, caches
 
 
 def _encode(model, batch, rng):
-    """Check the source ids, embed them and run the "enc" stack, with
+    """Check the source ids and run the "enc" stack over them, with
     dropout when ``rng`` is given.  Returns the per-position states
     (B, S, 2*hidden), zero on padding, each layer's final (h, c), each
     (B, 2*hidden), and the stack cache."""
     _check_ids(batch.src, model.config.source_vocab_size, "source")
-    return _stack_forward(
-        model, "enc", model.params["src_embed"][batch.src], batch.src_mask, None, rng)
+    return _stack_forward(model, "enc", batch.src, batch.src_mask, None, rng)
 
 
 def _forward(model, batch, rng):
@@ -328,8 +344,8 @@ def _forward(model, batch, rng):
     enc_states, finals, enc_caches = _encode(model, batch, rng)
     tgt_in = batch.tgt[:, :-1]
     # unmasked: padded target positions follow the real ones and carry zero loss weight
-    dec_out, _, dec_caches = _stack_forward(model, "dec", model.params["tgt_embed"][tgt_in],
-                                            None, init_decoder_state(model, finals), rng)
+    dec_out, _, dec_caches = _stack_forward(model, "dec", tgt_in, None,
+                                            init_decoder_state(model, finals), rng)
     out_drop = _dropout_mask(rng, dec_out, cfg.dropout_p)
     logits, att = attend(model, dec_out, enc_states, batch.src_mask, out_drop)
 
@@ -415,34 +431,47 @@ def decode_step(model, prev_ids, state, encoder_states, source_mask):
 # backward
 
 
-def _stack_backward(model, grads, caches, d_outputs, d_finals=None):
-    """Backpropagate through a stack run by ``_stack_forward``.
+def _stack_backward(model, grads, caches, ids, d_outputs, d_finals=None):
+    """Backpropagate through a stack run by ``_stack_forward`` over ``ids``.
 
     ``d_outputs`` is the gradient w.r.t. the top layer's outputs and
     ``d_finals`` the gradient w.r.t. each layer's final (h, c), if any flows
     into them.  Sets each direction's weight gradients in ``grads``; returns
-    the gradient w.r.t. the stack's inputs and, per layer and direction,
-    the gradient w.r.t. the initial (h, c).
+    the gradient w.r.t. the embedding table and, per layer and direction,
+    the gradient w.r.t. the initial (h, c).  Each layer turns a direction's
+    ``dz`` into ``dWx = x.T @ dz`` and the input gradient ``dz @ Wx.T``.
+    The first layer looked its projection up per symbol, so it first sums
+    ``dz`` per symbol, ``S = onehot(ids) @ dz`` with a (V, B*T) 0/1 matrix,
+    and takes ``dWx = embed.T @ S`` and the embedding gradient ``S @ Wx.T``
+    (a symbol the batch never uses gets a zero row).  This equals the
+    per-position forms exactly in real arithmetic because that layer's
+    input has no dropout; in floating point the sums run in another order.
     """
     p = model.params
     hid = model.config.hidden_units
     d_init = [None] * len(caches)
     for layer in range(len(caches) - 1, -1, -1):
-        traces, drop = caches[layer]
-        d_inputs, d_init[layer] = [], []
+        traces, x, drop = caches[layer]
+        if layer == 0:
+            onehot = (np.arange(len(x))[:, None] == ids.ravel()).astype(x.dtype)
+        d_x, d_init[layer] = [], []
         for k, (name, trace) in enumerate(traces):
             part = slice(k * hid, (k + 1) * hid)
             if d_finals:
                 dh, dc = (d[:, part] for d in d_finals[layer])
             else:
                 dh = dc = np.zeros_like(d_outputs[:, 0, part])
-            d_in, dWx, dWh, db, dh0, dc0 = _lstm_backward(
-                p[f"{name}_Wx"], p[f"{name}_Wh"], d_outputs[:, :, part], trace, dh, dc)
-            grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = dWx, dWh, db
-            d_inputs.append(d_in)
+            dz, dWh, db, dh0, dc0 = _lstm_backward(
+                p[f"{name}_Wh"], d_outputs[:, :, part], trace, dh, dc)
+            if layer == 0:
+                dz = onehot @ dz
+            grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = x.T @ dz, dWh, db
+            d_x.append(dz @ p[f"{name}_Wx"].T)
             d_init[layer].append((dh0, dc0))
-        d_outputs = sum(d_inputs[1:], d_inputs[0]) * drop
-    return d_outputs, d_init
+        d_x = sum(d_x[1:], d_x[0])
+        if layer > 0:
+            d_outputs = d_x.reshape(*ids.shape, -1) * drop
+    return d_x, d_init
 
 
 def backward(model, batch, rng=None):
@@ -490,10 +519,8 @@ def backward(model, batch, rng=None):
     d_dec_out += d_proj @ p["attn_W"].T
 
     # decoder stack, bridge, encoder stack
-    d_tgt, d_init = _stack_backward(model, grads, cache["dec_caches"], d_dec_out)
-    # embedding rows repeat within a batch, so these two scatter-add into zeros
-    grads["tgt_embed"] = np.zeros_like(p["tgt_embed"])
-    np.add.at(grads["tgt_embed"], cache["tgt_in"], d_tgt)
+    grads["tgt_embed"], d_init = _stack_backward(
+        model, grads, cache["dec_caches"], cache["tgt_in"], d_dec_out)
     d_finals = []
     for layer, ((dh0, dc0),) in enumerate(d_init):
         eh, ec = cache["finals"][layer]
@@ -501,9 +528,8 @@ def backward(model, batch, rng=None):
         grads[f"bridge{layer}_c"] = ec.T @ dc0
         d_finals.append((dh0 @ p[f"bridge{layer}_h"].T, dc0 @ p[f"bridge{layer}_c"].T))
     # padded source positions have attention weight 0, so d_enc is already 0 there
-    d_src, _ = _stack_backward(model, grads, cache["enc_caches"], d_enc, d_finals)
-    grads["src_embed"] = np.zeros_like(p["src_embed"])
-    np.add.at(grads["src_embed"], batch.src, d_src)
+    grads["src_embed"], _ = _stack_backward(
+        model, grads, cache["enc_caches"], batch.src, d_enc, d_finals)
     # sgd_update sums the global norm in this order
     return loss, {name: grads[name] for name in p}
 

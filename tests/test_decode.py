@@ -548,9 +548,11 @@ def test_nan_logit_rows_are_never_chosen(monkeypatch, next_ids, greedy, beam):
 
 def test_nan_in_unused_rows_leaves_the_search_alone(monkeypatch):
     # after the first step a row fed the start id fills an unused slot
-    # (there is no live hypothesis for it); its outputs are never read
+    # (there is no live hypothesis for it); its outputs are never read.
+    # Whether a search has unused slots depends on the trained model: of
+    # warm_model seeds 0-13, seed 10 fills the most (49 rows at beams 3 and 5)
     from modelgen import warm_model
-    model, vocab, corpus, snip = warm_model(seed=0)[:4]
+    model, vocab, corpus, snip = warm_model(seed=10)[:4]
     sources = ragged_sources(vocab, corpus, snip, 9)
     real_step, filled = decode_mod.decode_step, []
 

@@ -10,6 +10,7 @@ import pytest
 
 from gradcheck import as_float64, copy_model
 from lemtag import decode
+from lemtag import model as model_mod
 from lemtag.model import (Batch, CheckpointError, ModelConfig, _dropout_mask, _forward,
                           _lstm_backward, _lstm_forward, _lstm_step, _sigmoid, _softmax,
                           attend, backward, decode_step, encode_source, forward_loss,
@@ -191,6 +192,20 @@ def lstm_case(lengths, hid, dtype):
     return weights, inputs, mask, (h0, c0), d_outputs, (draw(bsz, hid), draw(bsz, hid))
 
 
+def stack_layer(Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc):
+    """One layer run forward and back as ``_stack_forward`` and
+    ``_stack_backward`` run a layer above the first: one input projection
+    before the layer, and ``dWx`` and the input gradient from the returned
+    ``dz`` after it."""
+    bsz, steps, din = inputs.shape
+    x = inputs.reshape(-1, din)
+    xw = (x @ Wx).reshape(bsz, steps, -1)
+    outputs, final, cache = _lstm_forward(xw, Wh, b, mask, reverse, h0, c0)
+    dz, dWh, db, dh0, dc0 = _lstm_backward(Wh, d_outputs, cache, dh, dc)
+    d_inputs = (dz @ Wx.T).reshape(bsz, steps, -1)
+    return outputs, final, (d_inputs, x.T @ dz, dWh, db, dh0, dc0)
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_layer_matches_stepwise_reference(reverse):
     """Steps with no padding skip the select, and every per-position value
@@ -203,8 +218,8 @@ def test_lstm_layer_matches_stepwise_reference(reverse):
                               (np.float64, np.float32))
     for lengths, hid, dtype in cases:
         (Wx, Wh, b), inputs, mask, (h0, c0), d_outputs, (dh, dc) = lstm_case(lengths, hid, dtype)
-        outputs, final, cache = _lstm_forward(Wx, Wh, b, inputs, mask, reverse, h0, c0)
-        d_inputs, *weight_grads, dh0, dc0 = _lstm_backward(Wx, Wh, d_outputs, cache, dh, dc)
+        outputs, final, (d_inputs, *weight_grads, dh0, dc0) = stack_layer(
+            Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc)
         ref_outputs, ref_final, (ref_d_inputs, *ref_weight_grads, ref_dh0, ref_dc0) = \
             reference_lstm(Wx, Wh, b, inputs, mask, reverse, h0, c0, d_outputs, dh, dc)
         for got, want in zip((outputs, *final, d_inputs, dh0, dc0),
@@ -217,9 +232,8 @@ def test_lstm_layer_matches_stepwise_reference(reverse):
             assert_close(got, want, rtol=1e-12 if dtype == np.float64 else 1e-5)
         if mask.all():
             # mask None means no padding: the bytes of an all-True mask
-            none_outputs, none_final, none_cache = _lstm_forward(
-                Wx, Wh, b, inputs, None, reverse, h0, c0)
-            none_grads = _lstm_backward(Wx, Wh, d_outputs, none_cache, dh, dc)
+            none_outputs, none_final, none_grads = stack_layer(
+                Wx, Wh, b, inputs, None, reverse, h0, c0, d_outputs, dh, dc)
             for got, want in zip((none_outputs, *none_final, *none_grads),
                                  (outputs, *final, d_inputs, *weight_grads, dh0, dc0)):
                 assert np.array_equal(got, want), (lengths, hid, dtype)
@@ -248,10 +262,45 @@ def test_padded_ids_change_neither_loss_nor_gradients():
     for name in grads:
         assert np.array_equal(grads[name], other_grads[name]), name
     _, cache = _forward(m, other, np.random.default_rng(7))
-    dec_masks = [entry[2] for traces, _ in cache["dec_caches"]
-                 for _, (_, _, trace) in traces for entry in trace]
+    dec_masks = [entry[2] for traces, _, _ in cache["dec_caches"]
+                 for _, (_, trace) in traces for entry in trace]
     assert len(dec_masks) == cfg.layers * other.loss_mask.shape[1]
     assert all(mask is None for mask in dec_masks)
+
+
+def test_first_layer_gradients_equal_the_per_position_forms(monkeypatch):
+    """The first layer of each stack sums its ``dz`` per symbol: in float64
+    its ``Wx`` gradients and the embedding gradients equal the per-position
+    forms ``x.T @ dz`` and a scatter-add of ``dz @ Wx.T`` into zeros, for a
+    batch with a repeated id, padded positions and a symbol it never uses,
+    whose gradient row is exactly zero."""
+    cfg = tiny_config(layers=2, hidden_units=5, dropout_p=0.3)
+    m = as_float64(init_model(cfg))
+    p = m.params
+    batch = make_batch([([5, 6, 5, 8, 9], [2, 5, 5, 3]), ([7, 5], [2, 6, 7, 8, 9, 3]),
+                        ([9, 8, 6], [2, 10, 3])])
+    dz_of, real_backward = {}, model_mod._lstm_backward
+
+    def spy(Wh, *args):
+        result = real_backward(Wh, *args)
+        dz_of[next(name for name, a in p.items() if a is Wh).removesuffix("_Wh")] = result[0]
+        return result
+
+    monkeypatch.setattr(model_mod, "_lstm_backward", spy)
+    _, grads = backward(m, batch, np.random.default_rng(7))
+    for embed, ids, names in (("src_embed", batch.src, ["enc0_fwd", "enc0_bwd"]),
+                              ("tgt_embed", batch.tgt[:, :-1], ["dec0"])):
+        assert (ids == PAD_ID).any() and len(np.unique(ids)) < ids.size
+        x = p[embed][ids].reshape(-1, cfg.embedding_size)
+        dense = np.zeros_like(p[embed])
+        for name in names:
+            dz = dz_of[name]
+            assert_close(grads[f"{name}_Wx"], x.T @ dz)
+            np.add.at(dense, ids, (dz @ p[f"{name}_Wx"].T).reshape(*ids.shape, -1))
+        assert_close(grads[embed], dense)
+        unused = np.setdiff1d(np.arange(len(p[embed])), ids)
+        assert len(p[embed]) - 1 in unused  # a symbol past the control ids
+        assert np.all(grads[embed][unused] == 0.0)
 
 
 def test_sigmoid_matches_two_branch_form_bytewise():
