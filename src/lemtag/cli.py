@@ -17,10 +17,8 @@ from .conllu import (CorpusFormatError, corpus_stats, read_corpus_file,
 from .decode import DecodeConfig, check_voting, predict_corpus
 from .metrics import EvalAlignmentError, SplitScores, evaluate
 from .model import CheckpointError, ModelConfig, init_model, load_model
-from .snippets import (MODES, TC_MODES, SnippetConfig, build_vocab,
-                       examples_for_corpus, format_example)
-from .training import (SELECTION_METRICS, TrainConfig, TrainingDivergedError,
-                       train)
+from .snippets import SnippetConfig, build_vocab, examples_for_corpus, format_example
+from .training import TrainConfig, TrainingDivergedError, train
 
 
 class UsageError(Exception):
@@ -51,7 +49,7 @@ def _parse_optional(cast):
 
 
 # option -> (config class or function, field or parameter); each option's
-# default and type come from that field
+# default and type come from that field, and its choices from the field's rule
 _OPTIONS = {
     "mode": (SnippetConfig, "mode"),
     "window": (SnippetConfig, "window"),
@@ -79,10 +77,11 @@ _OPTIONS = {
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
             "int | None": _parse_optional(int), "float | None": _parse_optional(float)}
 
-_CHOICES = {"mode": MODES, "tc": TC_MODES, "selection_metric": SELECTION_METRICS}
-
 _FIELDS = {key: inspect.signature(owner).parameters[name]
            for key, (owner, name) in _OPTIONS.items()}
+
+_RULES = {key: owner.__dataclass_fields__[name].metadata.get("rule", {})
+          for key, (owner, name) in _OPTIONS.items() if dataclasses.is_dataclass(owner)}
 
 
 def _cast(key):
@@ -247,7 +246,8 @@ def _add_options(parser, *owners):
         if _FIELDS[key].annotation == "bool":
             parser.add_argument(flag, dest=key, action="store_true", default=None)
         else:
-            parser.add_argument(flag, dest=key, type=_cast(key), choices=_CHOICES.get(key))
+            parser.add_argument(flag, dest=key, type=_cast(key),
+                                choices=_RULES.get(key, {}).get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (TrainingDivergedError, OSError, ValueError) as err:
+    except (TrainingDivergedError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -26,8 +26,8 @@ from .conllu import EMPTY_TAG, Analysis, Corpus, Sentence, Token
 from .model import (Model, _softmax, check_vocab, decode_step, encode_source,
                     forward_loss, init_decoder_state, make_batch)
 from .snippets import (END_ID, PAD_ID, START_ID, SnippetConfig, Vocab,
-                       build_ballots, check_integer, encode,
-                       examples_for_corpus, parse_analysis_units)
+                       build_ballots, check_fields, encode,
+                       examples_for_corpus, parse_analysis_units, rule)
 
 FLAG_TRUNCATED = "truncated"
 FLAG_MALFORMED = "malformed"
@@ -46,13 +46,9 @@ class DecodeConfig:
     """``beam_size`` 1 is the greedy rollout alone; a wider beam keeps the
     greedy rollout as a candidate.  See ``length_limit`` for ``max_length``."""
 
-    beam_size: int = 5
-    max_length: int | None = None
-
-    def __post_init__(self):
-        check_integer("beam_size", self.beam_size, 1)
-        if self.max_length is not None:
-            check_integer("max_length", self.max_length, 1)
+    beam_size: int = rule(5, minimum=1)
+    max_length: int | None = rule(None, minimum=1)
+    __post_init__ = check_fields
 
     def length_limit(self, source_length: int) -> int:
         if self.max_length is not None:
@@ -100,7 +96,7 @@ def _search(model: Model, sources, cfg: DecodeConfig):
     ids = np.zeros(scores.shape + (0,), dtype=np.int64)
     n_alive = np.full(len(sources), scores.shape[1])
     best = np.full(len(sources), -np.inf)
-    greedy = np.zeros((len(sources), limit.max()), dtype=np.int64)
+    greedy = np.zeros((len(sources), 0), dtype=np.int64)  # grown per step: no cost for the limit
     greedy_len = np.zeros(len(sources), dtype=np.int64)
     greedy_score = np.zeros(len(sources))
     greedy_live = np.ones(len(sources), dtype=bool)
@@ -157,7 +153,7 @@ def _search(model: Model, sources, cfg: DecodeConfig):
             parent, sym = np.divmod(children, vocab_size)
             ids = np.concatenate((ids[live[:, None], parent], sym[:, :, None]), axis=2)
         greedy_live &= greedy_next != END_ID
-        greedy[:, step - 1] = greedy_next
+        greedy = np.concatenate((greedy, greedy_next[:, None]), axis=1)
         greedy_len += greedy_live
         if beam_size:
             lost = greedy_live & (best > greedy_score)  # it can no longer win

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .snippets import PAD_ID, Vocab, check_integer, check_real
+from .snippets import PAD_ID, Vocab, check_fields, check_real, rule
 
 CHECKPOINT_MAGIC = b"LMTG"
 CHECKPOINT_VERSION = 1
@@ -45,23 +45,15 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    source_vocab_size: int
-    target_vocab_size: int
-    embedding_size: int = 700
-    hidden_units: int = 500
-    layers: int = 2
-    dropout_p: float = 0.3
-    attention: str = "general"
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        for name in ("source_vocab_size", "target_vocab_size", "embedding_size",
-                     "hidden_units", "layers"):
-            check_integer(name, getattr(self, name), 1)
-        check_integer("rng_seed", self.rng_seed, 0)
-        check_real("dropout_p must be in [0, 1)", self.dropout_p, high=1.0, closed_low=True)
-        if self.attention != "general":
-            raise ValueError(f"unsupported attention score {self.attention!r}")
+    source_vocab_size: int = rule(minimum=1)
+    target_vocab_size: int = rule(minimum=1)
+    embedding_size: int = rule(700, minimum=1)
+    hidden_units: int = rule(500, minimum=1)
+    layers: int = rule(2, minimum=1)
+    dropout_p: float = rule(0.3, high=1.0, closed_low=True)
+    attention: str = rule("general", choices=("general",))
+    rng_seed: int = rule(0, minimum=0)
+    __post_init__ = check_fields
 
 
 def _param_shapes(cfg: ModelConfig):
@@ -535,12 +527,12 @@ def backward(model, batch, rng=None):
 
 
 def sgd_update(model, grads, lr, clip_norm=None):
-    """Clip gradients to a global norm (``clip_norm`` None for no
-    clipping), then take one SGD step in place; a rate of 0, where a long
-    halving schedule underflows, leaves the parameters as they are."""
-    check_real("learning rate must be non-negative and finite", lr, closed_low=True)
+    """Clip gradients to a global norm (``clip_norm`` None for no clipping), then take
+    one SGD step in place.  ``lr`` is checked as ``TrainConfig.lr_initial`` and ``clip_norm``
+    as its namesake, but a rate of 0, where a long halving schedule underflows, is a no-op."""
+    check_real("learning rate", lr, closed_low=True)
     if clip_norm is not None:
-        check_real("clip_norm must be positive and finite, or None", clip_norm)
+        check_real("clip_norm", clip_norm)
     sq = 0.0
     for g in grads.values():
         # squared in double precision: a float32 square overflows from about 2e19

@@ -10,7 +10,8 @@ their decodes back into per-token ballots).  Two operating modes exist:
 one sequence pair per sentence (full_sequence, the one window around
 token 0 as wide as the sentence), or one pair per focal token covering
 ``W`` words of context to each side (context_window); both are written
-and read through the same window spans.
+and read through the same window spans.  It also holds the config rules:
+a config field declares its rule with ``rule``, and ``check_fields`` checks it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 from .conllu import EMPTY_TAG, Analysis, Corpus, MorphoTag, Token
 
@@ -46,13 +47,36 @@ def check_integer(name: str, value, minimum: int):
         raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
-def check_real(message: str, value, high: float = math.inf, closed_low: bool = False):
-    """Raise ValueError(``message``) for a config value that is not a real
-    number (bools included) or lies outside (0, high), [0, high) when
-    ``closed_low``; NaN lies outside every range."""
+def check_real(name: str, value, high: float = math.inf, closed_low: bool = False):
+    """Reject a config value that is not a real number (bools included) or
+    lies outside (0, high), [0, high) when ``closed_low``; NaN lies outside
+    every range.  The message names ``name`` and the range."""
     if (not isinstance(value, numbers.Real) or isinstance(value, bool)
             or not (0 <= value if closed_low else 0 < value) or not value < high):
-        raise ValueError(message)
+        bounds = (f"in {'[' if closed_low else '('}0, {high:g})" if high < math.inf
+                  else f"{'non-negative' if closed_low else 'positive'} and finite")
+        raise ValueError(f"{name} must be {bounds}")
+
+
+def check_choice(name: str, value, choices: tuple):
+    if not (isinstance(value, str) and value in choices):  # an array compares elementwise
+        raise ValueError(f"{name} must be one of {choices}")
+
+
+_CHECKS = {"int": check_integer, "float": check_real, "str": check_choice}
+
+
+def rule(default=MISSING, **bounds):
+    """A dataclass field whose value ``check_fields`` checks against ``bounds``."""
+    return field(default=default, metadata={"rule": bounds})
+
+
+def check_fields(config):
+    """Check each ``rule`` field of a config by its type; ``T | None`` admits None."""
+    for f in fields(config):
+        value, bounds = getattr(config, f.name), f.metadata.get("rule")
+        if bounds is not None and not (value is None and f.type.endswith(" | None")):
+            _CHECKS[f.type.removesuffix(" | None")](f.name, value, **bounds)
 
 
 def is_grammeme_symbol(symbol: str) -> bool:
@@ -70,16 +94,10 @@ class SnippetConfig:
     symbols only, raw surface characters, or nothing).
     """
 
-    mode: str = "context_window"
-    window: int = 1
-    tc_mode: str = "both"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tc_mode not in TC_MODES:
-            raise ValueError(f"unknown target-context mode {self.tc_mode!r}")
-        check_integer("window", self.window, 0)
+    mode: str = rule("context_window", choices=MODES)
+    window: int = rule(1, minimum=0)
+    tc_mode: str = rule("both", choices=TC_MODES)
+    __post_init__ = check_fields
 
     @property
     def target_window(self) -> int:

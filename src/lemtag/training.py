@@ -15,7 +15,7 @@ from .conllu import Corpus
 from .decode import DecodeConfig, predict_corpus
 from .metrics import evaluate
 from .model import Model, backward, check_vocab, load_model, make_batch, save_model, sgd_update
-from .snippets import SnippetConfig, Vocab, check_integer, check_real, encode
+from .snippets import SnippetConfig, Vocab, check_fields, encode, rule
 
 SELECTION_METRICS = ("analysis_accuracy", "lemma_accuracy", "tag_accuracy")
 _DROPOUT_SALT = 0xD0D0
@@ -27,30 +27,24 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    total_steps: int = 50000
-    checkpoint_every: int = 1000
-    lr_initial: float = 1.0
-    lr_halve_start_step: int = 25000
-    lr_halve_every: int = 10000
-    batch_size: int = 32
-    clip_norm: float | None = 5.0
-    selection_metric: str = "analysis_accuracy"
-    rng_seed: int = 0
+    """Rules sit at the fields, but for one: ``checkpoint_every`` divides ``total_steps``."""
+
+    total_steps: int = rule(50000, minimum=1)
+    checkpoint_every: int = rule(1000, minimum=1)
+    lr_initial: float = rule(1.0)
+    lr_halve_start_step: int = rule(25000, minimum=0)
+    lr_halve_every: int = rule(10000, minimum=1)
+    batch_size: int = rule(32, minimum=1)
+    clip_norm: float | None = rule(5.0)
+    selection_metric: str = rule("analysis_accuracy", choices=SELECTION_METRICS)
+    rng_seed: int = rule(0, minimum=0)
     checkpoint_dir: str | None = None
     retain_all: bool = False
 
     def __post_init__(self):
-        for name, minimum in (("total_steps", 1), ("checkpoint_every", 1),
-                              ("lr_halve_start_step", 0), ("lr_halve_every", 1),
-                              ("batch_size", 1), ("rng_seed", 0)):
-            check_integer(name, getattr(self, name), minimum)
+        check_fields(self)
         if self.total_steps % self.checkpoint_every != 0:
             raise ValueError("checkpoint_every must divide total_steps")
-        check_real("lr_initial must be positive and finite", self.lr_initial)
-        if self.clip_norm is not None:
-            check_real("clip_norm must be positive and finite, or None", self.clip_norm)
-        if self.selection_metric not in SELECTION_METRICS:
-            raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 
 
 @dataclass(frozen=True, eq=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -14,7 +15,7 @@ from lemtag.model import (CheckpointError, ModelConfig, init_model, load_model,
                           save_model)
 from lemtag.snippets import (CONTROL_SYMBOLS, SnippetConfig, Vocab,
                              examples_for_corpus, format_example)
-from lemtag.training import TrainingDivergedError
+from lemtag.training import TrainConfig, TrainingDivergedError
 from toycorpus import make_corpus, tiny_corpus
 
 
@@ -305,6 +306,57 @@ def test_train_rejects_non_finite_learning_settings(capsys, tmp_path, gold_file,
     assert code == 1
     assert "finite" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_out_of_memory_exits_three(capsys, tmp_path, gold_file):
+    # a (4, 4e13) float64 weight draw is larger than a 47-bit address
+    # space, so the allocation fails at once, whatever the overcommit setting
+    code, _, err = run(capsys, "train", gold_file, gold_file,
+                       "--checkpoint-dir", str(tmp_path / "run"),
+                       "--steps", "2", "--checkpoint-every", "2",
+                       "--embedding-size", "4", "--hidden-units", str(10**13),
+                       "--layers", "1")
+    assert code == 3
+    assert err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "run").exists()
+
+
+def _refused_text(field):
+    """A config-file value that ``field``'s rule refuses."""
+    bounds = field.metadata["rule"]
+    if "choices" in bounds:
+        return "bogus"
+    if "minimum" in bounds:
+        return str(bounds["minimum"] - 1)
+    return str(bounds["high"]) if bounds.get("closed_low") else "0"
+
+
+_TRAIN_RULES = [(key, field) for key, (owner, name) in cli._OPTIONS.items()
+                if owner in (SnippetConfig, ModelConfig, TrainConfig)
+                for field in dataclasses.fields(owner)
+                if field.name == name and "rule" in field.metadata]
+
+
+def test_every_ruled_train_option_is_walked():
+    assert [key for key, _ in _TRAIN_RULES] == [
+        "mode", "window", "tc", "embedding_size", "hidden_units", "layers", "dropout",
+        "steps", "checkpoint_every", "lr", "lr_halve_start", "lr_halve_every",
+        "batch_size", "clip_norm", "selection_metric", "seed"]
+
+
+@pytest.mark.parametrize("key, field", _TRAIN_RULES, ids=[key for key, _ in _TRAIN_RULES])
+def test_train_config_value_outside_its_rule_is_a_usage_error(capsys, tmp_path, gold_file,
+                                                              key, field):
+    # a small run that the refused value, the file's last line, overrides
+    config = tmp_path / "train.cfg"
+    config.write_text("embedding_size=8\nhidden_units=8\nlayers=1\nsteps=2\n"
+                      f"checkpoint_every=2\n{key}={_refused_text(field)}\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    code, out, err = run(capsys, "train", gold_file, gold_file, "--checkpoint-dir", str(run_dir),
+                         "--config", str(config))
+    assert code == 1
+    assert err.startswith(f"error: {field.name} must ") and out == ""
+    assert not run_dir.exists()
 
 
 def test_train_outputs_match_golden_digests(capsys, tmp_path, gold_file):

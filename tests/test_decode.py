@@ -226,6 +226,19 @@ def test_greedy_respects_max_length():
     assert len(ids) <= 1
 
 
+def test_search_cost_does_not_follow_an_unreached_length_limit():
+    # the greedy rollout's ids once filled a buffer as wide as the limit,
+    # allocated up front: at 10**15 more than a 47-bit address space
+    from modelgen import fixture_job
+    model, corpus, vocab, snip = fixture_job(1)
+    sources = [decode_mod.encode(e, vocab)[0] for e in examples_for_corpus(corpus, snip)]
+    for beam_size in (1, 5):
+        cfg = DecodeConfig(beam_size=beam_size)
+        default = decode_mod._search(model, sources, cfg)
+        assert all(finished for _, finished in default)
+        assert decode_mod._search(model, sources, replace(cfg, max_length=10**15)) == default
+
+
 def test_beam_size_one_equals_greedy():
     for seed in range(4):
         model, vocab, corpus, snip = setup_model(seed=seed)

@@ -1,15 +1,20 @@
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from lemtag.conllu import Analysis, Corpus, MorphoTag, Sentence, Token, parse_corpus
+from lemtag.decode import DecodeConfig
+from lemtag.model import ModelConfig
 from lemtag.snippets import (BOUNDARY_ID, CONTROL_SYMBOLS, END_ID, PAD_ID,
                              SPACE, START_ID, TC_MODES, UNK_ID, SEQUENCE_END,
                              SEQUENCE_START, UNKNOWN, WORD_BOUNDARY, SnippetConfig,
                              Vocab, build_vocab, encode,
                              examples_for_corpus, format_example, is_grammeme_symbol,
                              tokenize_analysis, tokenize_surface, window_span)
+from lemtag.training import TrainConfig
 from toycorpus import make_corpus
 
 
@@ -110,6 +115,51 @@ def test_snippet_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             SnippetConfig(window=window)
     assert SnippetConfig(window=np.int64(2)).window == 2
+
+
+# each config with the fewest settings that let every other field take its
+# boundary value: ModelConfig has no default vocabulary sizes, and
+# TrainConfig's checkpoint_every must divide total_steps
+RULED_CONFIGS = {SnippetConfig: {}, DecodeConfig: {},
+                 ModelConfig: {"source_vocab_size": 1, "target_vocab_size": 1},
+                 TrainConfig: {"total_steps": 1, "checkpoint_every": 1}}
+
+
+def boundary_values(field):
+    """(values at the edge of ``field``'s rule, values just outside it or
+    of the wrong kind)."""
+    bounds = field.metadata["rule"]
+    refused = [True, False, math.nan, math.inf, -math.inf, "text", np.array([0, 1])]
+    if not field.type.endswith(" | None"):
+        refused.append(None)
+    if "choices" in bounds:
+        return list(bounds["choices"]), refused + ["", bounds["choices"][0].upper()]
+    if field.type.startswith("int"):
+        low = bounds["minimum"]
+        return [low, np.int64(low)], refused + [low - 1, low + 0.5, float(low), str(low)]
+    low = 0.0 if bounds.get("closed_low") else math.nextafter(0.0, 1.0)
+    high = bounds.get("high", math.inf)
+    accepted = [low, np.float64(low)] + ([math.nextafter(high, 0.0)] if high < math.inf else [])
+    return accepted, refused + [math.nextafter(low, -1.0), high, str(low), 1j]
+
+
+def test_every_config_field_rule_holds_at_its_boundary():
+    walked, unruled = 0, []
+    for config, base in RULED_CONFIGS.items():
+        for field in dataclasses.fields(config):
+            if "rule" not in field.metadata:
+                unruled.append(field.name)
+                continue
+            accepted, refused = boundary_values(field)
+            for value in accepted:
+                assert getattr(config(**{**base, field.name: value}), field.name) == value
+            for value in refused:
+                with pytest.raises(ValueError) as err:
+                    config(**{**base, field.name: value})
+                assert str(err.value).startswith(f"{field.name} must be "), (field.name, value)
+            walked += 1
+    assert walked == 3 + 2 + 8 + 9
+    assert unruled == ["checkpoint_dir", "retain_all"]
 
 
 def test_examples_for_corpus_modes():
